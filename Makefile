@@ -107,6 +107,12 @@ coverage:
 	  echo "  install it with 'pip install pytest-cov' to measure coverage)"; \
 	fi
 
+# Wall-clock speed of the default GPU serving run (simulated requests per
+# wall second), with its virtual outputs checked against reference.json.
+.PHONY: speed
+speed:
+	$(PYTHON) speedbench/run.py --workload serve-steady
+
 .PHONY: benchmarks
 benchmarks:
 	$(PYTHON) -m pytest benchmarks/ --benchmark-only -s

@@ -18,6 +18,7 @@ half-open probe re-entry (the circuit breaker).
 
 from __future__ import annotations
 
+from functools import partial
 from typing import TYPE_CHECKING, Dict, List, Optional
 
 import numpy as np
@@ -34,7 +35,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Simulator
+from repro.simulation import LognormalSource, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -93,7 +94,8 @@ class ClusterIPService:
     ):
         self.simulator = simulator
         self.deployment = deployment
-        self.rng = rng
+        #: The network stream draws only the per-leg jitter.
+        self.jitter = LognormalSource(rng)
         self._round_robin = 0
         #: Heterogeneous scheduler front (None = the paper's single-class
         #: routing, bit-identical to the pre-scheduler service). When set,
@@ -182,7 +184,7 @@ class ClusterIPService:
     def _network_delay(self) -> float:
         return (
             self.NETWORK_LATENCY_S
-            * float(self.rng.lognormal(0.0, self.NETWORK_JITTER_SIGMA))
+            * self.jitter.lognormal(0.0, self.NETWORK_JITTER_SIGMA)
             + self.extra_latency_s
         )
 
@@ -204,10 +206,11 @@ class ClusterIPService:
 
     def _pod_network_delay(self, pod: Pod) -> float:
         """One network leg to/from a specific pod, zone charged honestly."""
-        extra = self._cross_zone_extra(pod)
-        if extra > 0.0:
-            self._note_cross_zone()
-            return self._network_delay() + extra
+        if self._zones > 1:
+            extra = self._cross_zone_extra(pod)
+            if extra > 0.0:
+                self._note_cross_zone()
+                return self._network_delay() + extra
         return self._network_delay()
 
     # -- routing ------------------------------------------------------------
@@ -385,17 +388,14 @@ class ClusterIPService:
                 if self.routing is not None:
                     self._observe(pod, response)
                 if extra > 0.0:
-                    self.simulator.call_in(extra, lambda: respond(response))
+                    self.simulator.call_in(extra, respond, response)
                 else:
                     respond(response)
 
             if extra > 0.0:
                 self._note_cross_zone(2)
                 self.simulator.call_in(
-                    extra,
-                    lambda: pod.server.submit(
-                        sub_request, observe_and_respond
-                    ),
+                    extra, self._forward, pod, sub_request, observe_and_respond
                 )
             else:
                 pod.server.submit(sub_request, observe_and_respond)
@@ -430,8 +430,7 @@ class ClusterIPService:
             self.simulator.call_in(self._network_delay(), arrive)
 
         self.simulator.call_in(
-            self._network_delay(),
-            lambda: self.aggregator.scatter(request, deliver),
+            self._network_delay(), self.aggregator.scatter, request, deliver
         )
 
     # -- request path -------------------------------------------------------
@@ -505,22 +504,56 @@ class ClusterIPService:
         self.routed += 1
         if self.telemetry is not None:
             self._routed_counter.inc()
-
-        def respond_via_network(response: RecommendationResponse) -> None:
-            if self.routing is not None:
-                self._observe(pod, response)
-
-            def deliver() -> None:
-                now = self.simulator.now
-                response.completed_at = now
-                response.latency_s = now - request.sent_at
-                if self.dispatcher is not None and route is not None:
-                    self.dispatcher.observe(route, response)
-                respond(response)
-
-            self.simulator.call_in(self._pod_network_delay(pod), deliver)
-
         self.simulator.call_in(
             self._pod_network_delay(pod),
-            lambda: pod.server.submit(request, respond_via_network),
+            self._forward,
+            pod,
+            request,
+            partial(self._respond_via_network, pod, request, route, respond),
         )
+
+    @staticmethod
+    def _forward(
+        pod: Pod, request: RecommendationRequest, respond: ResponseCallback
+    ) -> None:
+        """The request leg arrived: hand it to the pod's current server.
+
+        ``pod.server`` is read on arrival, not at routing time: a pod
+        restarted while the request was on the wire has a new server.
+        """
+        pod.server.submit(request, respond)
+
+    def _respond_via_network(
+        self,
+        pod: Pod,
+        request: RecommendationRequest,
+        route: Optional[str],
+        respond: ResponseCallback,
+        response: RecommendationResponse,
+    ) -> None:
+        """The pod answered: observe it, then send the response leg."""
+        if self.routing is not None:
+            self._observe(pod, response)
+        self.simulator.call_in(
+            self._pod_network_delay(pod),
+            self._deliver,
+            request,
+            route,
+            respond,
+            response,
+        )
+
+    def _deliver(
+        self,
+        request: RecommendationRequest,
+        route: Optional[str],
+        respond: ResponseCallback,
+        response: RecommendationResponse,
+    ) -> None:
+        """The response leg arrived: stamp the end-to-end latency."""
+        now = self.simulator.now
+        response.completed_at = now
+        response.latency_s = now - request.sent_at
+        if self.dispatcher is not None and route is not None:
+            self.dispatcher.observe(route, response)
+        respond(response)

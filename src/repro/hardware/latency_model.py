@@ -22,11 +22,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
+from typing import Protocol
 
 from repro.hardware.device import DeviceModel
 from repro.tensor.ops import CostRecord, CostTrace
+
+
+class LognormalDraws(Protocol):
+    """A source of lognormal jitter (``numpy.random.Generator`` is one)."""
+
+    def lognormal(self, mean: float = 0.0, sigma: float = 1.0) -> float: ...
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,12 @@ class NetworkHop:
         if self.cross_zone_extra_s < 0:
             raise ValueError("cross_zone_extra_s must be >= 0")
 
-    def sample(self, rng: np.random.Generator, cross_zone: bool = False) -> float:
+    def sample(self, rng: "LognormalDraws", cross_zone: bool = False) -> float:
         """One-way traversal time with lognormal jitter.
+
+        ``rng`` is anything with ``lognormal(mean, sigma)``: a numpy
+        ``Generator`` or the :class:`~repro.simulation.LognormalSource`
+        wrapping a server's stream.
 
         ``cross_zone=True`` adds the fixed inter-zone surcharge on top of
         the jittered intra-zone base; the default path is byte-identical
@@ -71,7 +80,7 @@ class NetworkHop:
         return delay
 
     def sample_round_trip(
-        self, rng: np.random.Generator, cross_zone: bool = False
+        self, rng: "LognormalDraws", cross_zone: bool = False
     ) -> float:
         """Request + response traversal (two independent draws)."""
         return self.sample(rng, cross_zone) + self.sample(rng, cross_zone)

@@ -151,18 +151,6 @@ class LoadGenerator:
         self.pending += 1
         self.sent += 1
         self.collector.note_sent(request.sent_at)
-        sent_at = request.sent_at
-        # Per-logical-request state: one settle across all attempts and
-        # hedges, plus the cancellable timers covering the whole request.
-        state = {
-            "done": False,
-            "attempt": 0,
-            "hedged": False,
-            "timeout": None,
-            "hedge": None,
-            "hedge_span": None,
-        }
-        policy = self.retry_policy
 
         root_span = None
         if self.telemetry is not None:
@@ -170,102 +158,30 @@ class LoadGenerator:
             root_span = self.telemetry.trace.begin(
                 "request", request.request_id, session_id=int(session_id)
             )
-
-        def cancel_timers() -> None:
-            for key in ("timeout", "hedge"):
-                if state[key] is not None:
-                    state[key].cancel()
-                    state[key] = None
-
-        def settle_spans(status: int) -> None:
-            if state["hedge_span"] is not None:
-                state["hedge_span"].finish(status=status)
-                state["hedge_span"] = None
-
-        def on_response(response: RecommendationResponse) -> None:
-            if state["done"]:
-                return  # the client already settled; connection is gone
-            if (
-                policy is not None
-                and policy.retryable(response.status)
-                and state["attempt"] < policy.max_retries
-            ):
-                self._schedule_retry(request, state, response, on_response)
-                return
-            state["done"] = True
-            cancel_timers()
-            self.pending -= 1
-            if policy is not None and state["attempt"] > 0:
-                if response.ok:
-                    self.retry_successes += 1
-                elif policy.retryable(response.status):
-                    self.retry_exhausted += 1
-                    if self.telemetry is not None:
-                        self._retry_exhausted_counter.inc()
-                # End-to-end latency spans all attempts, not just the last
-                # wire exchange (the service stamps from first send, but a
-                # bare-server submit target may not).
-                response.latency_s = response.completed_at - sent_at
-            self.collector.record(sent_at, response)
-            if root_span is not None:
-                attrs = {}
-                if state["attempt"]:
-                    attrs["retries"] = state["attempt"]
-                if state["hedged"]:
-                    attrs["hedged"] = True
-                root_span.finish(
-                    status=response.status,
-                    batch_size=response.batch_size,
-                    **attrs,
-                )
-            settle_spans(response.status)
-            self.sessions.complete(session_id)
+        flight = _Flight(self, request, session_id, root_span)
 
         if self.request_timeout_s is not None:
-
-            def on_timeout() -> None:
-                if state["done"]:
-                    return
-                state["done"] = True
-                state["timeout"] = None
-                cancel_timers()
-                self.pending -= 1
-                self.timeouts += 1
-                if root_span is not None:
-                    self._timeout_counter.inc()
-                    root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
-                settle_spans(HTTP_GATEWAY_TIMEOUT)
-                now = self.simulator.now
-                self.collector.record(
-                    sent_at,
-                    RecommendationResponse(
-                        request_id=request.request_id,
-                        status=HTTP_GATEWAY_TIMEOUT,
-                        completed_at=now,
-                        latency_s=now - sent_at,
-                    ),
-                )
-                # The visitor moved on; the session continues regardless.
-                self.sessions.complete(session_id)
-
-            state["timeout"] = self.simulator.call_in(
-                self.request_timeout_s, on_timeout
+            flight.timeout = self.simulator.call_in(
+                self.request_timeout_s, flight.on_timeout
             )
 
+        policy = self.retry_policy
         if policy is not None and policy.hedge_after_s is not None:
-            state["hedge"] = self.simulator.call_in(
-                policy.hedge_after_s,
-                lambda: self._send_hedge(request, state, on_response),
+            flight.hedge = self.simulator.call_in(
+                policy.hedge_after_s, self._send_hedge, flight
             )
 
-        self.submit(request, on_response)
+        self.submit(request, flight.on_response)
 
     # -- resilience plumbing ------------------------------------------------
 
-    def _schedule_retry(self, request, state, response, on_response) -> None:
-        """Resubmit ``request`` after the policy's (jittered) backoff."""
-        state["attempt"] += 1
-        attempt = state["attempt"]
+    def _schedule_retry(
+        self, flight: "_Flight", response: RecommendationResponse
+    ) -> None:
+        """Resubmit the flight's request after the policy's (jittered) backoff."""
+        flight.attempt += 1
+        attempt = flight.attempt
+        request = flight.request
         self.retries += 1
         delay = self.retry_policy.backoff_s(attempt, self.retry_rng)
         backoff_span = None
@@ -279,7 +195,7 @@ class LoadGenerator:
             )
 
         def resend() -> None:
-            if state["done"]:
+            if flight.done:
                 return  # the client timeout fired mid-backoff
             if backoff_span is not None:
                 backoff_span.finish()
@@ -287,17 +203,18 @@ class LoadGenerator:
             # so delivered latencies remain end-to-end across retries. The
             # ClusterIP rotation advances per submit, so the retry lands on
             # the next pod rather than hammering the crashed one.
-            self.submit(request, on_response)
+            self.submit(request, flight.on_response)
 
         self.simulator.call_in(delay, resend)
 
-    def _send_hedge(self, request, state, on_response) -> None:
+    def _send_hedge(self, flight: "_Flight") -> None:
         """Send one duplicate of a slow request; first response settles."""
-        if state["done"] or state["hedged"]:
+        if flight.done or flight.hedged:
             return
-        state["hedged"] = True
-        state["hedge"] = None
+        flight.hedged = True
+        flight.hedge = None
         self.hedges += 1
+        request = flight.request
         hedge = RecommendationRequest(
             request_id=self._next_request_id,
             session_id=request.session_id,
@@ -309,13 +226,13 @@ class LoadGenerator:
         self._next_request_id += 1
         if self.telemetry is not None:
             self._hedge_counter.inc()
-            state["hedge_span"] = self.telemetry.trace.begin(
+            flight.hedge_span = self.telemetry.trace.begin(
                 "request",
                 hedge.request_id,
                 session_id=int(request.session_id),
                 hedge_of=request.request_id,
             )
-        self.submit(hedge, on_response)
+        self.submit(hedge, flight.on_response)
 
     # -- Algorithm 2 main loop -----------------------------------------------
 
@@ -352,3 +269,113 @@ class LoadGenerator:
             if self.simulator.now < tick_end:
                 yield tick_end - self.simulator.now
         self.finished = True
+
+
+class _Flight:
+    """One logical request: a single settle across all attempts and hedges,
+    plus the cancellable timers covering the whole request."""
+
+    __slots__ = (
+        "loadgen", "request", "session_id", "root_span", "done", "attempt",
+        "hedged", "timeout", "hedge", "hedge_span",
+    )
+
+    def __init__(
+        self,
+        loadgen: LoadGenerator,
+        request: RecommendationRequest,
+        session_id: int,
+        root_span,
+    ):
+        self.loadgen = loadgen
+        self.request = request
+        self.session_id = session_id
+        self.root_span = root_span
+        self.done = False
+        self.attempt = 0
+        self.hedged = False
+        self.timeout = None
+        self.hedge = None
+        self.hedge_span = None
+
+    def cancel_timers(self) -> None:
+        if self.timeout is not None:
+            self.timeout.cancel()
+            self.timeout = None
+        if self.hedge is not None:
+            self.hedge.cancel()
+            self.hedge = None
+
+    def settle_spans(self, status: int) -> None:
+        if self.hedge_span is not None:
+            self.hedge_span.finish(status=status)
+            self.hedge_span = None
+
+    def on_response(self, response: RecommendationResponse) -> None:
+        if self.done:
+            return  # the client already settled; connection is gone
+        loadgen = self.loadgen
+        policy = loadgen.retry_policy
+        if (
+            policy is not None
+            and policy.retryable(response.status)
+            and self.attempt < policy.max_retries
+        ):
+            loadgen._schedule_retry(self, response)
+            return
+        self.done = True
+        self.cancel_timers()
+        loadgen.pending -= 1
+        sent_at = self.request.sent_at
+        if policy is not None and self.attempt > 0:
+            if response.ok:
+                loadgen.retry_successes += 1
+            elif policy.retryable(response.status):
+                loadgen.retry_exhausted += 1
+                if loadgen.telemetry is not None:
+                    loadgen._retry_exhausted_counter.inc()
+            # End-to-end latency spans all attempts, not just the last
+            # wire exchange (the service stamps from first send, but a
+            # bare-server submit target may not).
+            response.latency_s = response.completed_at - sent_at
+        loadgen.collector.record(sent_at, response)
+        if self.root_span is not None:
+            attrs = {}
+            if self.attempt:
+                attrs["retries"] = self.attempt
+            if self.hedged:
+                attrs["hedged"] = True
+            self.root_span.finish(
+                status=response.status,
+                batch_size=response.batch_size,
+                **attrs,
+            )
+        self.settle_spans(response.status)
+        loadgen.sessions.complete(self.session_id)
+
+    def on_timeout(self) -> None:
+        if self.done:
+            return
+        self.done = True
+        self.timeout = None
+        self.cancel_timers()
+        loadgen = self.loadgen
+        loadgen.pending -= 1
+        loadgen.timeouts += 1
+        if self.root_span is not None:
+            loadgen._timeout_counter.inc()
+            self.root_span.finish(status=HTTP_GATEWAY_TIMEOUT)
+        self.settle_spans(HTTP_GATEWAY_TIMEOUT)
+        now = loadgen.simulator.now
+        sent_at = self.request.sent_at
+        loadgen.collector.record(
+            sent_at,
+            RecommendationResponse(
+                request_id=self.request.request_id,
+                status=HTTP_GATEWAY_TIMEOUT,
+                completed_at=now,
+                latency_s=now - sent_at,
+            ),
+        )
+        # The visitor moved on; the session continues regardless.
+        loadgen.sessions.complete(self.session_id)

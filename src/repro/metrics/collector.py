@@ -12,12 +12,19 @@ every timestamp (``sent_at``, ``completed_at``) and every stored duration
 Milliseconds appear only at the reporting edge: methods with an ``_ms``
 suffix (``percentile_ms``, ``p90_ms``) multiply by 1000 on the way out.
 Throughput numbers are responses per virtual second.
+
+Recording: each OK latency is recorded once, into the digest *cell* of
+its (send second, degraded, cache hit) combination. The per-second
+digest and the run-wide splits (``overall``, ``full_overall``,
+``degraded_overall``, ``hit_overall``, ``miss_overall``) are merges of
+cells, built when read; a merge is exact for everything a percentile
+depends on, so they answer exactly as digests fed every sample would.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.metrics.percentile import LatencyDigest
 from repro.serving.request import RecommendationResponse
@@ -31,8 +38,14 @@ class SecondBucket:
     sent: int = 0
     ok: int = 0
     errors: int = 0
-    digest: LatencyDigest = field(default_factory=LatencyDigest)
     batch_sizes: List[int] = field(default_factory=list)
+    #: OK latencies by ``(degraded, cache_hit)``; each response sits in one.
+    cells: Dict[Tuple[bool, bool], LatencyDigest] = field(default_factory=dict)
+
+    @property
+    def digest(self) -> LatencyDigest:
+        """Every OK latency sent in this second (a merge of the cells)."""
+        return LatencyDigest.merge_all(self.cells.values())
 
     @property
     def error_rate(self) -> float:
@@ -40,9 +53,10 @@ class SecondBucket:
         return self.errors / total if total else 0.0
 
     def p90_ms(self) -> Optional[float]:
-        if len(self.digest) == 0:
+        digest = self.digest
+        if len(digest) == 0:
             return None
-        return self.digest.percentile(90) * 1000.0
+        return digest.percentile(90) * 1000.0
 
 
 class MetricsCollector:
@@ -50,7 +64,7 @@ class MetricsCollector:
 
     def __init__(self):
         self._buckets: Dict[int, SecondBucket] = {}
-        self.overall = LatencyDigest()
+        #: Inference durations in arrival order (its mean is reported).
         self.inference = LatencyDigest()
         self.ok = 0
         self.errors = 0
@@ -59,23 +73,20 @@ class MetricsCollector:
         #: sum of both; without a fallback tier ``degraded`` stays 0 and
         #: ``full_overall`` mirrors ``overall``.
         self.degraded = 0
-        self.full_overall = LatencyDigest()
-        self.degraded_overall = LatencyDigest()
         #: Cache split of the OK responses (``response.cache_hit``):
         #: answers served from the result cache (tier hits + coalesced
         #: followers) vs answers that ran an inference. Without a cache
         #: ``cache_hits`` stays 0 and ``miss_overall`` mirrors ``overall``.
         self.cache_hits = 0
-        self.hit_overall = LatencyDigest()
-        self.miss_overall = LatencyDigest()
         self.first_sent_at: Optional[float] = None
         self.last_completed_at: float = 0.0
         self.last_ok_completed_at: float = 0.0
 
     def _bucket(self, second: int) -> SecondBucket:
-        if second not in self._buckets:
-            self._buckets[second] = SecondBucket(second=second)
-        return self._buckets[second]
+        bucket = self._buckets.get(second)
+        if bucket is None:
+            bucket = self._buckets[second] = SecondBucket(second=second)
+        return bucket
 
     def note_sent(self, sent_at: float) -> None:
         if self.first_sent_at is None:
@@ -84,26 +95,24 @@ class MetricsCollector:
 
     def record(self, sent_at: float, response: RecommendationResponse) -> None:
         bucket = self._bucket(int(sent_at))
-        self.last_completed_at = max(self.last_completed_at, response.completed_at)
+        completed_at = response.completed_at
+        if completed_at > self.last_completed_at:
+            self.last_completed_at = completed_at
         if response.ok:
             bucket.ok += 1
-            self.last_ok_completed_at = max(
-                self.last_ok_completed_at, response.completed_at
-            )
-            bucket.digest.record(response.latency_s)
+            if completed_at > self.last_ok_completed_at:
+                self.last_ok_completed_at = completed_at
+            flags = (response.degraded, response.cache_hit)
+            cell = bucket.cells.get(flags)
+            if cell is None:
+                cell = bucket.cells[flags] = LatencyDigest()
+            cell.record(response.latency_s)
             bucket.batch_sizes.append(response.batch_size)
             self.ok += 1
-            self.overall.record(response.latency_s)
             if response.degraded:
                 self.degraded += 1
-                self.degraded_overall.record(response.latency_s)
-            else:
-                self.full_overall.record(response.latency_s)
             if response.cache_hit:
                 self.cache_hits += 1
-                self.hit_overall.record(response.latency_s)
-            else:
-                self.miss_overall.record(response.latency_s)
             if response.inference_s > 0:
                 self.inference.record(response.inference_s)
         else:
@@ -111,6 +120,40 @@ class MetricsCollector:
             self.errors += 1
 
     # -- summaries -----------------------------------------------------------
+
+    def _merged(self, keep: Callable[[bool, bool], bool]) -> LatencyDigest:
+        """Merge of every cell whose ``(degraded, cache_hit)`` passes ``keep``."""
+        return LatencyDigest.merge_all(
+            cell
+            for bucket in self._buckets.values()
+            for (degraded, cache_hit), cell in bucket.cells.items()
+            if keep(degraded, cache_hit)
+        )
+
+    @property
+    def overall(self) -> LatencyDigest:
+        """Every OK latency."""
+        return self._merged(lambda degraded, cache_hit: True)
+
+    @property
+    def full_overall(self) -> LatencyDigest:
+        """OK latencies of full-quality answers."""
+        return self._merged(lambda degraded, cache_hit: not degraded)
+
+    @property
+    def degraded_overall(self) -> LatencyDigest:
+        """OK latencies of degraded fallback answers."""
+        return self._merged(lambda degraded, cache_hit: degraded)
+
+    @property
+    def hit_overall(self) -> LatencyDigest:
+        """OK latencies of cache-answered requests."""
+        return self._merged(lambda degraded, cache_hit: cache_hit)
+
+    @property
+    def miss_overall(self) -> LatencyDigest:
+        """OK latencies of requests that ran an inference."""
+        return self._merged(lambda degraded, cache_hit: not cache_hit)
 
     def buckets(self) -> List[SecondBucket]:
         return [self._buckets[key] for key in sorted(self._buckets)]

@@ -51,7 +51,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Signal, Simulator
+from repro.simulation import LognormalSource, Signal, Simulator
 
 if TYPE_CHECKING:
     from repro.obs.telemetry import Telemetry
@@ -133,7 +133,9 @@ class EtudeInferenceServer:
         self.service_profile = service_profile
         self.profile = profile or ActixProfile()
         self.batching = batching or BatchingConfig()
-        self.rng = rng
+        #: Every draw of this server's stream: HTTP, CPU and GPU noise and
+        #: the remote cache hop are all lognormal.
+        self.jitter = LognormalSource(rng)
         self.model = model
         self.name = name
         # The paper: the server "allows users to configure the number of
@@ -386,7 +388,7 @@ class EtudeInferenceServer:
         """
         if charge_overhead:
             self.simulator.call_in(
-                self._http_overhead(), lambda: self._fail(request, respond)
+                self._http_overhead(), self._fail, request, respond
             )
             return
         now = self.simulator.now
@@ -438,13 +440,13 @@ class EtudeInferenceServer:
         if self.telemetry is not None:
             self._cache_miss_counter.inc()
         if cache.remote is not None:
-            rtt = self._remote_hop.sample_round_trip(self.rng)
+            rtt = self._remote_hop.sample_round_trip(self.jitter)
             if self.telemetry is not None:
                 self.telemetry.trace.begin(
                     "cache_remote", request.request_id, at=now
                 ).finish(at=now + rtt)
             self.simulator.call_in(
-                rtt, lambda: self._after_remote(request, respond, key)
+                rtt, self._after_remote, request, respond, key
             )
             return True
         return False
@@ -862,9 +864,7 @@ class EtudeInferenceServer:
         return self._work_signal
 
     def _http_overhead(self) -> float:
-        jitter = float(
-            self.rng.lognormal(mean=0.0, sigma=self.profile.jitter_sigma)
-        )
+        jitter = self.jitter.lognormal(0.0, self.profile.jitter_sigma)
         return self.profile.request_overhead_s * jitter
 
     def _respond_ok(
@@ -938,7 +938,7 @@ class EtudeInferenceServer:
         if self.device.shared_bandwidth:
             demanded = self._active_workers * self.device.weight_bandwidth
             contention = max(1.0, demanded / self.device.shared_bandwidth)
-        noise = float(self.rng.lognormal(mean=0.0, sigma=0.08))
+        noise = self.jitter.lognormal(0.0, 0.08)
         return (other_s + memory_s * contention) * noise * self.slowdown
 
     def _cpu_worker(self, index: int):
@@ -1007,7 +1007,7 @@ class EtudeInferenceServer:
         (or when the whole batch is one tenant's) this reduces to the
         single-profile expression, with the identical RNG draw.
         """
-        noise = float(self.rng.lognormal(mean=0.0, sigma=0.08))
+        noise = self.jitter.lognormal(0.0, 0.08)
         if self.tenants is not None and batch is not None:
             groups: Dict[Optional[Tuple[str, str]], int] = {}
             for request, _respond, _arrival in batch:
@@ -1064,8 +1064,9 @@ class EtudeInferenceServer:
                 continue
             if self.admission is None:
                 batch = [self._queue.popleft() for _ in range(take)]
-                for entry in batch:
-                    self._note_dequeued(entry[0])
+                if self._tenant_queued is not None:
+                    for entry in batch:
+                        self._note_dequeued(entry[0])
             else:
                 # Assemble the batch from still-viable requests only:
                 # doomed work must not occupy a GPU batch slot.
@@ -1113,11 +1114,8 @@ class EtudeInferenceServer:
                         "http_respond", request.request_id, at=self.simulator.now
                     ).finish(at=self.simulator.now + http_s)
                 self.simulator.call_in(
-                    http_s,
-                    self._make_responder(
-                        request, respond, batch_time, take, started, arrival,
-                        self._batch_counter,
-                    ),
+                    http_s, self._respond_and_log, request, respond,
+                    batch_time, take, started, arrival, self._batch_counter,
                 )
 
     def _trace_batch(self, batch, started, batch_time, take, linger_started):
@@ -1169,32 +1167,28 @@ class EtudeInferenceServer:
                 nprobe=nprobe,
             ).finish(at=started + duration_s)
 
-    def _make_responder(
+    def _respond_and_log(
         self, request, respond, batch_time, take, started, arrival, batch_id
-    ):
-        """Responder fired once the HTTP leg is done.
+    ) -> None:
+        """Responder fired once the HTTP leg of a GPU flush is done.
 
         The access record is written here, at delivery time, with the
         status the client actually saw — a crash between batch completion
         and response delivery turns the whole batch into 503s, and the
         log must say so rather than claim a 200 nobody received.
         """
-
-        def respond_and_log() -> None:
-            delivered = self._respond_ok(
-                request, respond, batch_time, take, queue_s=started - arrival
-            )
-            if self.access_log is not None:
-                self.access_log.append(
-                    AccessRecord(
-                        request_id=request.request_id,
-                        arrived_at=arrival,
-                        started_at=started,
-                        completed_at=self.simulator.now,
-                        batch_id=batch_id,
-                        batch_size=take,
-                        status=HTTP_OK if delivered else HTTP_SERVICE_UNAVAILABLE,
-                    )
+        delivered = self._respond_ok(
+            request, respond, batch_time, take, queue_s=started - arrival
+        )
+        if self.access_log is not None:
+            self.access_log.append(
+                AccessRecord(
+                    request_id=request.request_id,
+                    arrived_at=arrival,
+                    started_at=started,
+                    completed_at=self.simulator.now,
+                    batch_id=batch_id,
+                    batch_size=take,
+                    status=HTTP_OK if delivered else HTTP_SERVICE_UNAVAILABLE,
                 )
-
-        return respond_and_log
+            )

@@ -35,7 +35,7 @@ from repro.serving.request import (
     RecommendationResponse,
     ResponseCallback,
 )
-from repro.simulation import Signal, Simulator
+from repro.simulation import LognormalSource, Signal, Simulator
 
 
 class TorchServeServer:
@@ -55,7 +55,7 @@ class TorchServeServer:
         self.device = device
         self.service_profile = service_profile
         self.profile = profile or TorchServeProfile()
-        self.rng = rng
+        self.jitter = LognormalSource(rng)
         self.name = name
 
         self._queue: Deque[Tuple[RecommendationRequest, ResponseCallback, float]] = (
@@ -75,11 +75,11 @@ class TorchServeServer:
     def submit(
         self, request: RecommendationRequest, respond: ResponseCallback
     ) -> None:
-        frontend_s = self.profile.frontend_overhead_s * float(
-            self.rng.lognormal(0.0, self.profile.jitter_sigma)
+        frontend_s = self.profile.frontend_overhead_s * self.jitter.lognormal(
+            0.0, self.profile.jitter_sigma
         )
         self.simulator.call_in(
-            frontend_s, lambda: self._enqueue(request, respond)
+            frontend_s, self._enqueue, request, respond
         )
 
     def _enqueue(
@@ -126,8 +126,8 @@ class TorchServeServer:
                 self.timed_out += 1
                 self._fail(request, respond)
                 continue
-            handler_s = self.profile.worker_overhead_s * float(
-                self.rng.lognormal(0.0, self.profile.jitter_sigma)
+            handler_s = self.profile.worker_overhead_s * self.jitter.lognormal(
+                0.0, self.profile.jitter_sigma
             )
             inference_s = 0.0
             if self.service_profile is not None:

@@ -62,6 +62,9 @@ class TestLatencyDigest:
             LatencyDigest().percentile(50)
         with pytest.raises(ValueError):
             LatencyDigest().mean()
+        # Regression: max() used to answer 0.0 while min() raised.
+        with pytest.raises(ValueError, match="empty digest"):
+            LatencyDigest().max()
 
     def test_out_of_range_clamped(self):
         digest = LatencyDigest()
