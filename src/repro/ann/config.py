@@ -1,9 +1,7 @@
 """Opt-in retrieval mode configuration (``--retrieval`` / ``retrieval:``).
 
-Mirrors the compact-grammar contract of the other opt-in serving features
-(:class:`~repro.sharding.config.ShardingConfig` is the template): a frozen
-dataclass that parses from / renders to a short spec string, with
-``kind="exact"`` meaning *disabled* so default runs stay bit-identical.
+Options use the shared grammar of :mod:`repro.options`;
+``kind="exact"`` means *disabled*, so default runs stay bit-identical.
 
 Grammar::
 
@@ -23,8 +21,11 @@ from typing import Optional
 
 import numpy as np
 
+from repro.options import format_options, parse_options
+
 _KNOWN_KINDS = ("exact", "ivf")
-_KNOWN_OPTIONS = ("nlist", "nprobe")
+#: Spec key -> (field, converter) for the ``ivf:`` options.
+_KEYS = {"nlist": ("nlist", int), "nprobe": ("nprobe", int)}
 
 #: k-means passes charged when estimating index-build time; matches the
 #: default ``IVFFlatIndex(kmeans_iterations=12)``.
@@ -77,49 +78,20 @@ class RetrievalConfig:
         text = text.strip()
         if text in ("exact", "off", "none"):
             return cls(kind="exact")
-        if text in ("", "ivf"):
-            return cls(kind="ivf")
-        kind, _, options = text.partition(":")
+        kind, _, options = (text or "ivf").partition(":")
         if kind != "ivf":
             raise ValueError(
                 f"unknown retrieval kind {kind!r}; "
                 f"expected one of {', '.join(_KNOWN_KINDS)}"
             )
-        values = {}
-        for item in options.split(","):
-            key, separator, value = item.partition("=")
-            key = key.strip()
-            if not separator or key not in _KNOWN_OPTIONS:
-                raise ValueError(
-                    f"unknown retrieval option {item.strip()!r}; "
-                    f"expected key=value with keys "
-                    f"{', '.join(_KNOWN_OPTIONS)}"
-                )
-            try:
-                values[key] = int(value)
-            except ValueError:
-                raise ValueError(
-                    f"retrieval option {key} needs an integer, got {value!r}"
-                )
-        return cls(kind="ivf", **values)
+        return cls(kind="ivf", **parse_options(options, _KEYS, what="retrieval"))
 
     def spec_string(self) -> str:
         """The canonical compact form; ``parse`` round-trips it."""
         if not self.enabled:
             return "exact"
-        options = []
-        if self.nlist is not None:
-            options.append(f"nlist={self.nlist}")
-        if self.nprobe != 8:
-            options.append(f"nprobe={self.nprobe}")
+        options = format_options(self, _KEYS)
         return "ivf" + (":" + ",".join(options) if options else "")
-
-    def describe(self) -> str:
-        """One-line human summary for CLI output."""
-        if not self.enabled:
-            return "exact catalog scan (ANN disabled)"
-        nlist = "auto (sqrt of materialized rows)" if self.nlist is None else self.nlist
-        return f"IVF-Flat, nlist={nlist}, nprobe={self.nprobe}"
 
     def effective_nlist(self, catalog_size: int, materialized_cap: int = 32768) -> int:
         """The centroid count an index built for ``catalog_size`` will use.

@@ -30,9 +30,20 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.keys import CacheKey, SessionKeyer
 from repro.cache.policy import MISSING, POLICIES, EvictionPolicy, make_policy
+from repro.options import format_options, parse_options
 
 #: A parked coalesced request: (request, respond, joined_at).
 FlightWaiter = Tuple[Any, Any, float]
+
+#: Spec key -> (field, converter) for :meth:`CacheConfig.parse`.
+_KEYS = {
+    "capacity": ("capacity", int),
+    "policy": ("policy", str),
+    "window": ("window", int),
+    "ttl": ("ttl_s", float),
+    "remote": ("remote_capacity", int),
+    "rttl": ("remote_ttl_s", float),
+}
 
 
 @dataclass(frozen=True)
@@ -85,57 +96,16 @@ class CacheConfig:
         is optional; the empty string (bare ``--cache``) means all
         defaults.
         """
-        kwargs: dict = {}
-        keys = {
-            "capacity": ("capacity", int),
-            "policy": ("policy", str),
-            "window": ("window", int),
-            "ttl": ("ttl_s", float),
-            "remote": ("remote_capacity", int),
-            "rttl": ("remote_ttl_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                if part not in POLICIES:
-                    raise ValueError(
-                        f"unknown cache policy {part!r}; "
-                        f"choose from {', '.join(POLICIES)}"
-                    )
-                kwargs["policy"] = part
-                continue
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown cache spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(
+            **parse_options(
+                text, _KEYS, what="cache", positional=("policy", POLICIES)
+            )
+        )
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        default = CacheConfig()
-        parts = [self.policy]
-        if self.capacity != default.capacity:
-            parts.append(f"capacity={self.capacity}")
-        if self.window != default.window:
-            parts.append(f"window={self.window}")
-        if self.ttl_s != default.ttl_s:
-            parts.append(f"ttl={self.ttl_s:g}")
-        if self.remote_capacity != default.remote_capacity:
-            parts.append(f"remote={self.remote_capacity}")
-        if self.remote_ttl_s != default.remote_ttl_s:
-            parts.append(f"rttl={self.remote_ttl_s:g}")
-        return ",".join(parts)
-
-    def describe(self) -> str:
-        local = (
-            f"{self.policy} x{self.capacity}" if self.capacity else "no local tier"
-        )
-        remote = (
-            f" + remote x{self.remote_capacity}" if self.remote_capacity else ""
-        )
-        return f"{local}{remote}, last-{self.window} clicks"
+        options = format_options(self, _KEYS, skip=("policy",))
+        return ",".join([self.policy] + options)
 
     def with_capacity(self, capacity: int) -> "CacheConfig":
         return replace(self, capacity=capacity)

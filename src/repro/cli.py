@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import replace
 from typing import List, Optional
 
 from repro.core import (
@@ -24,11 +25,12 @@ from repro.core import (
     ExperimentRunner,
     ExperimentSpec,
     HardwareSpec,
+    Scenario,
     run_infra_test,
     serial_microbenchmark,
 )
+from repro.core.features import FEATURES, render_availability, report_lines
 from repro.core.report import render_latency_series, render_scenario_table
-from repro.core.spec import Scenario
 from repro.exec.backend import ExecTask, make_backend
 from repro.hardware.clouds import cloud_catalog
 from repro.hardware.instances import instance_by_name
@@ -49,12 +51,7 @@ def _add_infra_command(subparsers) -> None:
     parser.add_argument("--duration", type=float, default=120.0)
     parser.add_argument("--seed", type=int, default=1234)
     _add_trace_flags(parser)
-    _add_resilience_flags(parser)
-    _add_overload_flags(parser, routing=False)
-    _add_cache_flag(parser)
-    _add_shards_flag(parser)
-    _add_retrieval_flag(parser)
-    _add_tenants_flag(parser)
+    _add_features(parser, *(n for n, f in FEATURES.items() if f.infra_arg))
 
 
 def _add_micro_command(subparsers) -> None:
@@ -83,15 +80,8 @@ def _add_run_command(subparsers) -> None:
     parser.add_argument("--plot", action="store_true",
                         help="ASCII latency-vs-load chart (the Figure 4 view)")
     _add_trace_flags(parser)
-    _add_resilience_flags(parser)
-    _add_overload_flags(parser, routing=True)
-    _add_cache_flag(parser)
-    _add_shards_flag(parser)
-    _add_retrieval_flag(parser)
-    _add_scheduler_flag(parser)
-    _add_zones_flag(parser)
-    _add_tenants_flag(parser)
-    _add_backend_flag(parser)
+    _add_features(parser, *FEATURES)
+    parser.add_argument("--backend", **_BACKEND_FLAG)
 
 
 def _add_drill_command(subparsers) -> None:
@@ -107,7 +97,7 @@ def _add_drill_command(subparsers) -> None:
     parser.add_argument("--duration", type=float, default=90.0)
     parser.add_argument("--p90-limit", type=float, default=50.0)
     parser.add_argument("--seed", type=int, default=1234)
-    _add_shards_flag(parser)
+    _add_features(parser, "sharding")
     parser.add_argument(
         "--zones", type=int, default=2, metavar="N",
         help="failure domains to spread the fleet over (default 2)",
@@ -146,20 +136,23 @@ def _add_plan_command(subparsers) -> None:
     parser.add_argument("--p90-limit", type=float, default=50.0)
     parser.add_argument("--duration", type=float, default=90.0)
     parser.add_argument("--max-replicas", type=int, default=8)
-    _add_cache_flag(parser)
+    _add_features(parser, "cache")
     parser.add_argument(
         "--shards", default="1", metavar="COUNTS",
         help="comma-separated catalog-shard counts to evaluate per "
         "instance type, e.g. '1,4,8' (replica counts are then per shard)",
     )
-    _add_retrieval_flag(parser)
+    _add_features(parser, "retrieval")
     parser.add_argument(
         "--min-recall", type=float, default=0.95, metavar="FLOAT",
         help="recall@k floor for ANN candidates; IVF options whose "
         "measured recall falls below this are reported infeasible "
         "(default 0.95)",
     )
-    _add_scheduler_flag(parser, append=True)
+    _add_features(
+        parser, "scheduler", action="append",
+        help=FEATURES["scheduler"].help + "; repeat to sweep CPU:GPU mix ratios",
+    )
     parser.add_argument(
         "--survive-zones", type=int, default=0, metavar="N",
         help="availability requirement: every admitted option must pass "
@@ -167,8 +160,8 @@ def _add_plan_command(subparsers) -> None:
         "deploy across N+1 failure domains and pay for the extra "
         "replicas; default 0 = single-domain planning)",
     )
-    _add_tenants_flag(parser)
-    _add_backend_flag(parser)
+    _add_features(parser, "tenants")
+    parser.add_argument("--backend", **_BACKEND_FLAG)
 
 
 def _add_compare_command(subparsers) -> None:
@@ -235,405 +228,59 @@ def _add_trace_flags(parser) -> None:
     )
 
 
-def _add_resilience_flags(parser) -> None:
-    parser.add_argument(
-        "--retry", nargs="?", const="", default=None, metavar="SPEC",
-        help="client retries with backoff; optional SPEC like "
-        "'max=3,base=0.05,cap=1,mult=2,jitter=0.5,hedge=0.2' "
-        "(bare --retry uses the defaults)",
-    )
-    parser.add_argument(
-        "--chaos", default=None, metavar="SPEC",
-        help="fault-injection schedule: comma-separated kind@seconds events, "
-        "e.g. 'crash@60:restart=20,slow@90:factor=3:dur=30,"
-        "netdelay@30:add=0.005:dur=20' (times relative to load start)",
-    )
+def _add_features(parser, *names, **overrides) -> None:
+    """Add the feature table's flags for ``names``, in that order.
 
+    A value is parsed when the flag is read, so a bad one exits with the
+    flag named; the namespace keeps the text.
+    """
+    for name in names:
+        feature = FEATURES[name]
 
-def _add_overload_flags(parser, routing: bool) -> None:
-    parser.add_argument(
-        "--slo-deadline", type=float, default=None, metavar="SECONDS",
-        help="per-request latency SLO; requests are stamped with "
-        "sent_at + SECONDS so --admission can shed doomed work",
-    )
-    parser.add_argument(
-        "--admission", nargs="?", const="", default=None, metavar="SPEC",
-        help="deadline-aware admission control on the Actix server; SPEC "
-        "like 'codel,slack=0.01,target=0.005,interval=0.1,depth=64' "
-        "(disciplines: fifo, lifo, codel; bare --admission = FIFO defaults)",
-    )
-    parser.add_argument(
-        "--fallback", nargs="?", const="", default=None, metavar="SPEC",
-        help="graceful degradation: shed requests answer as fast degraded "
-        "200s from a popularity top-k tier; SPEC like 'budget=0.002,topk=21'",
-    )
-    if routing:
-        parser.add_argument(
-            "--routing", default=None, metavar="SPEC",
-            help="health-aware service routing; SPEC like "
-            "'lor,eject=3,cooldown=15,lag=2' "
-            "(disciplines: rr, lor; eject enables the circuit breaker)",
+        def check(text: str, feature=feature) -> str:
+            try:
+                feature.coerce(text)
+            except ValueError as error:
+                raise argparse.ArgumentTypeError(str(error))
+            return text
+
+        kwargs = dict(
+            default=None, metavar=feature.metavar, help=feature.help, type=check
         )
+        if feature.const is not None:
+            kwargs.update(nargs="?", const=feature.const)
+        kwargs.update(overrides)
+        parser.add_argument(feature.flag, **kwargs)
 
 
-def _add_cache_flag(parser) -> None:
-    parser.add_argument(
-        "--cache", nargs="?", const="", default=None, metavar="SPEC",
-        help="session-prefix result cache on the Actix server; SPEC like "
-        "'lfu,capacity=8192,window=4,ttl=30,remote=65536,rttl=300' "
-        "(policies: lru, lfu, segmented; bare --cache = LRU defaults)",
-    )
+def _feature_values(args) -> dict:
+    """Typed values of the table flags given, by ``ExperimentSpec`` field."""
+    values = {}
+    for feature in FEATURES.values():
+        text = getattr(args, feature.flag[2:].replace("-", "_"), None)
+        value = None if text is None else feature.coerce(text)
+        if value is not None:
+            values[feature.name] = value
+    return values
 
 
-def _add_shards_flag(parser) -> None:
-    parser.add_argument(
-        "--shards", default=None, metavar="SPEC",
-        help="catalog sharding with scatter-gather top-k; SPEC like "
-        "'4' or '4,partial=off' (replica counts are then per shard; "
-        "S=1 is the unsharded baseline)",
-    )
+#: The --backend flag of ``run`` and ``plan``.
+_BACKEND_FLAG = dict(
+    default=None, metavar="SPEC",
+    help="execution backend for independent candidate evaluations "
+    "and multi-job spec files: 'serial' (default) or "
+    "'mp[:workers=N]' (process pool, N=0 or omitted means one "
+    "worker per core); results are bit-identical either way. "
+    "Overrides the ETUDE_BACKEND env var (docs/parallelism.md)",
+)
 
 
-def _add_backend_flag(parser) -> None:
-    parser.add_argument(
-        "--backend", default=None, metavar="SPEC",
-        help="execution backend for independent candidate evaluations "
-        "and multi-job spec files: 'serial' (default) or "
-        "'mp[:workers=N]' (process pool, N=0 or omitted means one "
-        "worker per core); results are bit-identical either way. "
-        "Overrides the ETUDE_BACKEND env var (docs/parallelism.md)",
-    )
-
-
-def _add_zones_flag(parser) -> None:
-    parser.add_argument(
-        "--zones", type=int, default=None, metavar="N",
-        help="spread the fleet over N failure domains (anti-affine "
-        "replica placement, cross-zone network legs charged, zone@T "
-        "chaos meaningful; default 1 = the paper's single domain)",
-    )
-
-
-def _add_tenants_flag(parser) -> None:
-    parser.add_argument(
-        "--tenants", default=None, metavar="SPEC",
-        help="co-locate a multi-tenant model fleet on the deployment; "
-        "SPEC is ';'-separated name=model:weight segments with options "
-        "slo=MS, shadow, canary=FRAC, burst=F, rollout=T plus a fleet "
-        "fair=N segment, e.g. "
-        "'home=gru4rec:3,slo=60;search=narm:1,slo=120' "
-        "(default: single-model serving)",
-    )
-
-
-def _parse_tenants(args):
-    """TenancyConfig | None from the --tenants flag."""
-    from repro.tenancy.config import TenancyConfig
-
-    if getattr(args, "tenants", None) is None:
-        return None
-    try:
-        config = TenancyConfig.parse(args.tenants)
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return config if config.enabled else None
-
-
-def _render_tenancy(tenancy: dict) -> str:
-    """The per-tenant summary block shared by run and infra-test."""
-    lines = [f"  tenants[{tenancy['config']}]:"]
-    for name, row in tenancy.get("tenants", {}).items():
-        p90 = row.get("p90_ms")
-        slo = row.get("slo_ms")
-        slo_text = ""
-        if slo is not None:
-            met = row.get("slo_met")
-            slo_text = f" slo={slo:g}ms[{'met' if met else 'MISSED'}]"
-        canary = (
-            f", {row['canary_requests']} canary"
-            if row.get("canary_requests")
-            else ""
-        )
-        hits = (
-            f", {row['cache_hits']} cache hits" if row.get("cache_hits") else ""
-        )
-        lines.append(
-            f"    {name}({row['model']}): {row['requests']} req "
-            f"({row.get('rps', 0) or 0:g} rps), ok={row['ok']} "
-            f"err={row['errors']} shed={row['shed']}, "
-            f"p90={'n/a' if p90 is None else f'{p90:.1f} ms'}"
-            + slo_text + canary + hits
-        )
-    for name, row in tenancy.get("shadow", {}).items():
-        lines.append(
-            f"    {name}({row['model']}, shadow): "
-            f"{row['mirrored']} mirrored, {row['completed']} scored, "
-            f"{row['shed']} shed (0 client-visible)"
-        )
-    for rollout in tenancy.get("rollouts", []):
-        lines.append(
-            f"    rollout[{rollout['tenant']}]: "
-            f"{rollout['pods_updated']} pods updated, "
-            f"completed={rollout['completed']}"
-        )
-    return "\n".join(lines)
-
-
-def _add_retrieval_flag(parser) -> None:
-    parser.add_argument(
-        "--retrieval", nargs="?", const="ivf", default=None, metavar="SPEC",
-        help="ANN candidate retrieval instead of the exact catalog scan; "
-        "SPEC like 'ivf:nlist=1024,nprobe=32' or 'exact' "
-        "(bare --retrieval = IVF defaults; default is the exact scan)",
-    )
-
-
-def _parse_retrieval(args):
-    """RetrievalConfig | None from the --retrieval flag."""
-    from repro.ann.config import RetrievalConfig
-
-    if getattr(args, "retrieval", None) is None:
-        return None
-    try:
-        return RetrievalConfig.parse(args.retrieval)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _parse_backend(args):
+def _backend(args):
     """Backend instance from the --backend flag (or ETUDE_BACKEND)."""
     try:
         return make_backend(getattr(args, "backend", None))
     except ValueError as error:
         raise SystemExit(str(error))
-
-
-def _add_scheduler_flag(parser, append: bool = False) -> None:
-    kwargs = dict(
-        nargs="?", const="", default=None, metavar="SPEC",
-        help="heterogeneous CPU/GPU scheduler: a CPU pod pool for "
-        "short-session/tight-slack requests beside the GPU batch path, "
-        "with online hill-climbed batching; SPEC like "
-        "'cpu=1,short=4,target=50' (bare --scheduler = one CPU pod, "
-        "tuner on; 'off' disables)",
-    )
-    if append:
-        kwargs["action"] = "append"
-        kwargs["help"] += "; repeat to sweep CPU:GPU mix ratios"
-    parser.add_argument("--scheduler", **kwargs)
-
-
-def _parse_scheduler(args):
-    """SchedulerConfig | None from the run command's --scheduler flag."""
-    from repro.scheduler import SchedulerConfig
-
-    if getattr(args, "scheduler", None) is None:
-        return None
-    try:
-        return SchedulerConfig.parse(args.scheduler)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _parse_scheduler_options(args):
-    """Tuple of SchedulerConfig from the plan command's repeatable flag."""
-    from repro.scheduler import SchedulerConfig
-
-    specs = getattr(args, "scheduler", None) or []
-    options = []
-    for text in specs:
-        try:
-            config = SchedulerConfig.parse(text)
-        except ValueError as error:
-            raise SystemExit(str(error))
-        if config.enabled:
-            options.append(config)
-    return tuple(options)
-
-
-def _render_scheduler(scheduler: dict) -> str:
-    """The one-line scheduler summary for run output."""
-    tuner = scheduler.get("tuner")
-    extras = ""
-    if tuner is not None:
-        extras = (
-            f"; tuner {tuner['moves']} moves/{tuner['epochs']} epochs -> "
-            f"batch {tuner['max_batch']}/"
-            f"{tuner['linger_s'] * 1e3:g} ms"
-            f"{' (converged)' if tuner['converged'] else ''}"
-        )
-    return (
-        f"  scheduler[{scheduler['config']}]: "
-        f"{scheduler['routed_cpu']} cpu / {scheduler['routed_gpu']} gpu "
-        f"({scheduler['offload_short_session']} short, "
-        f"{scheduler['offload_tight_slack']} tight-slack)"
-        + extras
-    )
-
-
-def _render_retrieval(retrieval: dict) -> str:
-    """The one-line retrieval summary shared by run and infra-test."""
-    recall = retrieval.get("recall_at_k")
-    build = retrieval.get("index_build_s")
-    extras = ""
-    if recall is not None:
-        extras += f", recall@k={recall:.3f}"
-    if build is not None:
-        extras += f", index build={build:.2f} s/pod"
-    return (
-        f"  retrieval[{retrieval['config']}]: "
-        f"{retrieval.get('ann_queries', 0)} ANN queries, "
-        f"{retrieval.get('ann_probed_lists', 0)} lists probed"
-        + extras
-    )
-
-
-def _parse_sharding(args):
-    """ShardingConfig | None from the --shards flag."""
-    from repro.sharding.config import ShardingConfig
-
-    if getattr(args, "shards", None) is None:
-        return None
-    try:
-        return ShardingConfig.parse(args.shards)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _render_sharding(sharding: dict) -> str:
-    """The one-line sharding summary shared by run and infra-test."""
-    partial = sharding.get("partial_responses", 0)
-    coverage = sharding.get("mean_coverage")
-    coverage_text = (
-        f", mean coverage={coverage * 100:.1f}%" if coverage is not None else ""
-    )
-    return (
-        f"  sharding[{sharding['config']}]: "
-        f"{sharding.get('fanouts', 0)} fan-outs, "
-        f"{sharding.get('merged_ok', 0)} merged 200s, "
-        f"{partial} partial, "
-        f"{sharding.get('failed_fanouts', 0)} failed"
-        + coverage_text
-    )
-
-
-def _render_availability(availability: dict) -> str:
-    """The one-line failure-domain summary for run/drill output."""
-    per_zone = availability.get("pods_per_zone", {})
-    spread = " ".join(f"{zone}={count}" for zone, count in sorted(per_zone.items()))
-    outages = availability.get("zone_outages", [])
-    ttr = availability.get("time_to_recovery_s")
-    ttr_text = (
-        f", TTR={ttr:.1f} s" if ttr is not None
-        else ", never recovered" if outages else ""
-    )
-    return (
-        f"  zones[{availability['zones']}]: pods {spread}, "
-        f"{availability.get('cross_zone_legs', 0)} cross-zone legs, "
-        f"{len(outages)} outage(s)"
-        + ttr_text
-    )
-
-
-def _parse_cache(args):
-    """CacheConfig | None from the --cache flag."""
-    from repro.cache.tier import CacheConfig
-
-    if getattr(args, "cache", None) is None:
-        return None
-    try:
-        return CacheConfig.parse(args.cache)
-    except ValueError as error:
-        raise SystemExit(str(error))
-
-
-def _render_cache(cache: dict) -> str:
-    """The one-line cache summary shared by run and infra-test."""
-    p90_hit = cache.get("p90_hit_ms")
-    p90_miss = cache.get("p90_miss_ms")
-    split = ""
-    if p90_hit is not None and p90_miss is not None:
-        split = f", p90 hit/miss={p90_hit:.2f}/{p90_miss:.2f} ms"
-    return (
-        f"  cache[{cache['config']}]: "
-        f"{cache['hit_rate'] * 100:.1f}% hit rate "
-        f"(local={cache['hits_local']} remote={cache['hits_remote']} "
-        f"miss={cache['misses']}), "
-        f"{cache['coalesced']} coalesced, "
-        f"{cache['evictions']} evicted"
-        + split
-    )
-
-
-def _parse_overload(args):
-    """(slo_deadline_s, AdmissionPolicy?, RoutingPolicy?, FallbackConfig?)."""
-    from repro.cluster.routing import RoutingPolicy
-    from repro.serving.admission import AdmissionPolicy
-    from repro.serving.fallback import FallbackConfig
-
-    try:
-        slo_deadline = args.slo_deadline
-        if slo_deadline is not None and slo_deadline <= 0:
-            raise ValueError("--slo-deadline must be positive")
-        admission = (
-            AdmissionPolicy.parse(args.admission)
-            if args.admission is not None
-            else None
-        )
-        routing = (
-            RoutingPolicy.parse(args.routing)
-            if getattr(args, "routing", None) is not None
-            else None
-        )
-        fallback = (
-            FallbackConfig.parse(args.fallback)
-            if args.fallback is not None
-            else None
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return slo_deadline, admission, routing, fallback
-
-
-def _render_overload(overload: dict) -> str:
-    """The one-line overload summary shared by run and infra-test."""
-    shed = (
-        overload["shed_deadline"]
-        + overload["shed_codel"]
-        + overload["shed_queue_full"]
-    )
-    p90_degraded = overload.get("p90_degraded_ms")
-    return (
-        f"  overload: {shed} shed "
-        f"(deadline={overload['shed_deadline']} "
-        f"codel={overload['shed_codel']} "
-        f"queue={overload['shed_queue_full']}), "
-        f"{overload['degraded_served']} degraded 200s "
-        f"({overload['degraded_fraction'] * 100:.1f}% of ok"
-        + (
-            f", p90={p90_degraded:.1f} ms"
-            if p90_degraded is not None
-            else ""
-        )
-        + ")"
-    )
-
-
-def _parse_resilience(args):
-    """(RetryPolicy | None, ChaosSchedule | None) from the CLI flags."""
-    from repro.cluster.chaos import ChaosSchedule
-    from repro.loadgen.retry import RetryPolicy
-
-    try:
-        retry = (
-            RetryPolicy.parse(args.retry) if args.retry is not None else None
-        )
-        chaos = (
-            ChaosSchedule.parse(args.chaos) if args.chaos is not None else None
-        )
-    except ValueError as error:
-        raise SystemExit(str(error))
-    return retry, chaos
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -716,61 +363,29 @@ def _cmd_infra(args, out) -> int:
     telemetry = _make_telemetry(args)
     if telemetry is not None and args.server != "actix":
         out.write("note: --trace instruments only the actix server\n")
-    retry, chaos = _parse_resilience(args)
-    if chaos is not None and args.server != "actix":
-        raise SystemExit("--chaos needs the actix server's fault hooks")
-    slo_deadline, admission, _routing, fallback = _parse_overload(args)
-    if (admission is not None or fallback is not None) and args.server != "actix":
-        raise SystemExit("--admission/--fallback are actix-server features")
-    cache = _parse_cache(args)
-    if cache is not None and args.server != "actix":
-        raise SystemExit("--cache is an actix-server feature")
-    sharding = _parse_sharding(args)
-    if sharding is not None and sharding.enabled and args.server != "actix":
-        raise SystemExit("--shards is an actix-server feature")
-    retrieval = _parse_retrieval(args)
-    if retrieval is not None and retrieval.enabled and args.server != "actix":
-        raise SystemExit("--retrieval is an actix-server feature")
-    tenants = _parse_tenants(args)
-    if tenants is not None and args.server != "actix":
-        raise SystemExit("--tenants is an actix-server feature")
-    result = run_infra_test(
-        args.server,
-        target_rps=args.rps,
-        duration_s=args.duration,
-        seed=args.seed,
-        telemetry=telemetry,
-        retry_policy=retry,
-        chaos=chaos,
-        slo_deadline_s=slo_deadline,
-        admission=admission,
-        fallback=fallback,
-        cache=cache,
-        sharding=sharding,
-        retrieval=retrieval,
-        tenants=tenants,
-    )
+    features = {
+        FEATURES[name].infra_arg: value
+        for name, value in _feature_values(args).items()
+    }
+    try:
+        result = run_infra_test(
+            args.server,
+            target_rps=args.rps,
+            duration_s=args.duration,
+            seed=args.seed,
+            telemetry=telemetry,
+            **features,
+        )
+    except ValueError as error:
+        raise SystemExit(str(error))
     out.write(render_latency_series(result.series, args.server, every=20) + "\n")
     out.write(
         f"{args.server}: {result.ok}/{result.total} ok, "
         f"{result.errors} errors ({result.error_rate * 100:.1f}%), "
         f"p90={result.p90_ms:.2f} ms\n"
     )
-    if retry is not None or chaos is not None:
-        out.write(
-            f"  resilience: {result.retries} retries, {result.hedges} hedges, "
-            f"{len(result.chaos_events)} chaos events\n"
-        )
-    if result.overload is not None:
-        out.write(_render_overload(result.overload) + "\n")
-    if result.cache is not None:
-        out.write(_render_cache(result.cache) + "\n")
-    if result.sharding is not None:
-        out.write(_render_sharding(result.sharding) + "\n")
-    if result.retrieval is not None:
-        out.write(_render_retrieval(result.retrieval) + "\n")
-    if result.tenancy is not None:
-        out.write(_render_tenancy(result.tenancy) + "\n")
+    for line in report_lines(result):
+        out.write(line + "\n")
     if telemetry is not None:
         _emit_telemetry(telemetry, out, args.trace_out)
     return 0
@@ -796,85 +411,31 @@ def _cmd_micro(args, out) -> int:
 
 def _cmd_run(args, out) -> int:
     runner = ExperimentRunner()
-    retry, chaos = _parse_resilience(args)
-    slo_deadline, admission, routing, fallback = _parse_overload(args)
-    cache = _parse_cache(args)
-    sharding = _parse_sharding(args)
-    retrieval = _parse_retrieval(args)
-    scheduler = _parse_scheduler(args)
-    tenants = _parse_tenants(args)
-    zones = args.zones
-    if zones is not None and zones < 1:
-        raise SystemExit("--zones must be >= 1")
+    features = _feature_values(args)
     if args.spec:
-        from dataclasses import replace
-
         from repro.core.specfile import load_spec_file
 
-        jobs = load_spec_file(args.spec)
-        overrides_on = any(
-            value is not None
-            for value in (
-                retry, chaos, slo_deadline, admission, routing, fallback,
-                cache, sharding, retrieval, scheduler, zones, tenants,
+        try:
+            jobs = load_spec_file(args.spec)
+        except OSError as error:
+            raise SystemExit(
+                f"cannot read spec file {args.spec!r}: {error.strerror}"
             )
-        )
-        if overrides_on:
-            # CLI flags override the spec file's settings.
-            jobs = [
-                (
-                    replace(
-                        spec,
-                        retry=retry if retry is not None else spec.retry,
-                        chaos=chaos if chaos is not None else spec.chaos,
-                        slo_deadline_s=(
-                            slo_deadline
-                            if slo_deadline is not None
-                            else spec.slo_deadline_s
-                        ),
-                        admission=(
-                            admission if admission is not None else spec.admission
-                        ),
-                        routing=routing if routing is not None else spec.routing,
-                        fallback=(
-                            fallback if fallback is not None else spec.fallback
-                        ),
-                        cache=cache if cache is not None else spec.cache,
-                        sharding=(
-                            sharding if sharding is not None else spec.sharding
-                        ),
-                        retrieval=(
-                            retrieval
-                            if retrieval is not None
-                            else spec.retrieval
-                        ),
-                        scheduler=(
-                            scheduler
-                            if scheduler is not None
-                            else spec.scheduler
-                        ),
-                        zones=zones if zones is not None else spec.zones,
-                        tenants=(
-                            tenants if tenants is not None else spec.tenants
-                        ),
-                    ),
-                    slo,
-                )
-                for spec, slo in jobs
-            ]
+        except ValueError as error:
+            raise SystemExit(f"bad spec file {args.spec!r}: {error}")
+        # CLI flags override the spec file's settings.
+        jobs = [(replace(spec, **features), slo) for spec, slo in jobs]
     else:
         model = args.model
-        if model is None and tenants is not None:
+        if model is None and "tenants" in features:
             # A fleet names its own models; the anchor defaults to the
             # first primary tenant's.
-            model = tenants.primaries[0].model
+            model = features["tenants"].primaries[0].model
         for required, value in (
             ("model", model), ("catalog", args.catalog), ("rps", args.rps),
         ):
             if value is None:
                 raise SystemExit(f"--{required} is required without --spec")
-        from repro.core.spec import SLO
-
         jobs = [
             (
                 ExperimentSpec(
@@ -884,18 +445,7 @@ def _cmd_run(args, out) -> int:
                     hardware=HardwareSpec(args.instance, args.replicas),
                     duration_s=args.duration,
                     execution=args.execution,
-                    retry=retry,
-                    chaos=chaos,
-                    slo_deadline_s=slo_deadline,
-                    admission=admission,
-                    routing=routing,
-                    fallback=fallback,
-                    cache=cache,
-                    sharding=sharding,
-                    retrieval=retrieval,
-                    scheduler=scheduler,
-                    zones=zones if zones is not None else 1,
-                    tenants=tenants,
+                    **features,
                 ),
                 SLO(p90_latency_ms=args.p90_limit),
             )
@@ -907,7 +457,7 @@ def _cmd_run(args, out) -> int:
     # a Telemetry bundle is live in-process state, not a picklable task
     # payload.
     precomputed = None
-    backend = _parse_backend(args)
+    backend = _backend(args)
     if backend.config.parallel and len(jobs) > 1:
         if _make_telemetry(args) is not None:
             out.write(
@@ -965,34 +515,8 @@ def _cmd_run(args, out) -> int:
             f"{'n/a' if p90_target is None else f'{p90_target:.1f} ms'}\n"
             f"  meets p90<={slo.p90_latency_ms:.0f}ms SLO: {meets}\n"
         )
-        if result.resilience is not None:
-            res = result.resilience
-            out.write(
-                f"  resilience: {res['retries']} retries "
-                f"({res['retry_successes']} recovered, "
-                f"{res['retry_exhausted']} exhausted), "
-                f"{res['hedges']} hedges, "
-                f"{len(res['chaos_events'])} chaos events\n"
-            )
-        if result.overload is not None:
-            out.write(_render_overload(result.overload) + "\n")
-            if result.overload["ejections"]:
-                out.write(
-                    f"  routing: {result.overload['ejections']} pod ejections, "
-                    f"{result.overload['probe_recoveries']} probe recoveries\n"
-                )
-        if result.cache is not None:
-            out.write(_render_cache(result.cache) + "\n")
-        if result.sharding is not None:
-            out.write(_render_sharding(result.sharding) + "\n")
-        if result.retrieval is not None:
-            out.write(_render_retrieval(result.retrieval) + "\n")
-        if result.scheduler is not None:
-            out.write(_render_scheduler(result.scheduler) + "\n")
-        if result.availability is not None:
-            out.write(_render_availability(result.availability) + "\n")
-        if result.tenancy is not None:
-            out.write(_render_tenancy(result.tenancy) + "\n")
+        for line in report_lines(result):
+            out.write(line + "\n")
         if telemetry is not None:
             trace_out = args.trace_out
             if trace_out and len(jobs) > 1:
@@ -1024,7 +548,7 @@ def _cmd_drill(args, out) -> int:
             target_rps=args.rps,
             hardware=HardwareSpec(args.instance, args.replicas),
             duration_s=args.duration,
-            sharding=_parse_sharding(args),
+            sharding=args.shards,
             routing=args.routing,
             zones=args.zones,
             seed=args.seed,
@@ -1063,12 +587,12 @@ def _cmd_drill(args, out) -> int:
         f"  survived: {report.survived}  recovered: {report.recovered}\n"
     )
     if report.result.availability is not None:
-        out.write(_render_availability(report.result.availability) + "\n")
+        out.write(render_availability(report.result.availability) + "\n")
     return 0 if report.survived and report.recovered else 2
 
 
 def _cmd_plan(args, out) -> int:
-    tenants = _parse_tenants(args)
+    tenants = FEATURES["tenants"].coerce(args.tenants)
     if tenants is not None:
         # Bin-packing dimension: cheapest co-located fleet vs. the
         # standalone per-tenant baseline (docs/tenancy.md).
@@ -1101,7 +625,7 @@ def _cmd_plan(args, out) -> int:
         )
     except ValueError:
         raise SystemExit(f"--shards must be comma-separated ints: {args.shards!r}")
-    retrieval = _parse_retrieval(args)
+    retrieval = FEATURES["retrieval"].coerce(args.retrieval)
     retrieval_options = (
         (None,)
         if retrieval is None or not retrieval.enabled
@@ -1114,13 +638,17 @@ def _cmd_plan(args, out) -> int:
         slo=SLO(p90_latency_ms=args.p90_limit),
         duration_s=args.duration,
         max_replicas=args.max_replicas,
-        cache=_parse_cache(args),
+        cache=FEATURES["cache"].coerce(args.cache),
         shard_counts=shard_counts or (1,),
         retrieval_options=retrieval_options,
         min_recall=args.min_recall,
-        scheduler_options=(None,) + _parse_scheduler_options(args),
+        scheduler_options=(None,) + tuple(
+            config
+            for config in map(FEATURES["scheduler"].coerce, args.scheduler or ())
+            if config.enabled
+        ),
         survive_zones=args.survive_zones,
-        backend=_parse_backend(args),
+        backend=_backend(args),
     )
     instances = cloud_catalog(args.cloud)
     plans = planner.plan(scenario, models, instances=instances)

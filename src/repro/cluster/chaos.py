@@ -36,6 +36,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
+from repro.options import convert, format_value
 from repro.simulation import Simulator
 
 if TYPE_CHECKING:
@@ -49,22 +50,14 @@ def _parse_optional_s(value: str) -> Optional[float]:
     return None if value.lower() in ("none", "never") else float(value)
 
 
+_parse_optional_s.expected = "seconds or 'none'"
+
+
 def _parse_optional_index(value: str) -> Optional[int]:
     return None if value.lower() == "none" else int(value)
 
 
-def _format_option(value) -> str:
-    """Render one option value for :meth:`ChaosSchedule.spec_string`.
-
-    Numbers go through ``'g'`` formatting (``20.0`` -> ``20``); strings —
-    e.g. a :class:`ZoneOutage` zone name — are emitted verbatim so they
-    survive the round trip instead of raising in ``format(value, 'g')``.
-    """
-    if value is None:
-        return "none"
-    if isinstance(value, str):
-        return value
-    return format(value, "g")
+_parse_optional_index.expected = "an integer or 'none'"
 
 
 @dataclass(frozen=True)
@@ -81,9 +74,6 @@ class ChaosEvent:
 
     def fire(self, controller: "ChaosController") -> None:
         raise NotImplementedError
-
-    def describe(self) -> str:
-        return f"{self.kind}@{self.at_s:g}s"
 
 
 @dataclass(frozen=True)
@@ -330,7 +320,7 @@ class ChaosSchedule:
                     f"kind in {sorted(_EVENT_KINDS)}"
                 )
             event_cls, keys = _EVENT_KINDS[kind]
-            kwargs: dict = {"at_s": float(at_text)}
+            kwargs: dict = {"at_s": convert("chaos", "time", float, at_text)}
             for option in options:
                 key, eq, value = option.partition("=")
                 if not eq or key not in keys:
@@ -339,14 +329,9 @@ class ChaosSchedule:
                         f"known: {sorted(keys)}"
                     )
                 name, cast = keys[key]
-                kwargs[name] = cast(value)
+                kwargs[name] = convert("chaos", key, cast, value)
             events.append(event_cls(**kwargs))
         return cls(events=tuple(events))
-
-    def describe(self) -> str:
-        if not self.events:
-            return "no chaos"
-        return ", ".join(event.describe() for event in self.events)
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
@@ -354,14 +339,14 @@ class ChaosSchedule:
         for event in self.events:
             _, keys = _EVENT_KINDS[event.kind]
             options = "".join(
-                f":{key}={_format_option(value)}"
+                f":{key}={'none' if value is None else format_value(value)}"
                 for key, (name, _) in keys.items()
                 for value in (getattr(event, name),)
                 # shard=None means "not shard-scoped" — omitted so that
                 # pre-sharding schedules round-trip to the same string.
                 if not (key == "shard" and value is None)
             )
-            parts.append(f"{event.kind}@{event.at_s:g}{options}")
+            parts.append(f"{event.kind}@{format_value(event.at_s)}{options}")
         return ",".join(parts)
 
 

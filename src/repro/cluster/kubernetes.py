@@ -11,12 +11,13 @@ the service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Sequence
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.cache.tier import RemoteCacheTier
+from repro.cluster.composition import check_composition
 from repro.cluster.storage import StorageBucket
 from repro.hardware.instances import InstanceType
 from repro.hardware.latency_model import LatencyModel, ServiceTimeProfile
@@ -263,15 +264,15 @@ class Cluster:
         ``auxiliary`` adds a CPU pod pool beside an accelerator primary
         fleet (the heterogeneous scheduler's shape): same artifact and
         model, the pool's own CPU service profile, shared readiness
-        signal. Mutually exclusive with ``sharding`` — every pod must hold
-        the full catalog so either class can answer any request.
+        signal.
 
         ``tenants`` co-locates a tenant fleet on every replica
         (``docs/tenancy.md``): each pod's server gets its *own* clones of
         the tenant serving states (rollouts bump versions pod by pod), and
         the caller passes the fleet's *summed* resident footprint as
         ``resident_bytes`` so the fit checks above price the co-location.
-        Mutually exclusive with ``sharding`` and ``auxiliary``.
+        Incompatible feature pairs (``repro.cluster.composition``) raise
+        :class:`DeploymentError`.
 
         ``zones > 1`` spreads the fleet over that many failure domains
         with a round-robin anti-affinity policy: within each shard's
@@ -287,24 +288,12 @@ class Cluster:
         if zones < 1:
             raise ValueError("zones must be >= 1")
         shards = sharding.shards if sharding is not None and sharding.enabled else 1
-        if tenants is not None:
-            if shards > 1:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with catalog sharding: "
-                    "every replica hosts every tenant's full artifact"
-                )
-            if auxiliary is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with a heterogeneous "
-                    "auxiliary pool"
-                )
+        check_composition(
+            {"tenants": tenants is not None, "sharding": shards > 1,
+             "scheduler": auxiliary is not None},
+            DeploymentError,
+        )
         if auxiliary is not None:
-            if shards > 1:
-                raise DeploymentError(
-                    "a heterogeneous fleet does not compose with catalog "
-                    "sharding: CPU pods must hold the full catalog to "
-                    "answer any request the dispatcher sends them"
-                )
             if not instance_type.device.is_accelerator:
                 raise DeploymentError(
                     "an auxiliary CPU pool requires an accelerator primary "

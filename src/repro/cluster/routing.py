@@ -32,7 +32,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
+from repro.options import format_options, parse_options
+
 DISCIPLINES = ("rr", "lor")
+
+#: Spec key -> (field, converter) for :meth:`RoutingPolicy.parse`.
+_KEYS = {
+    "eject": ("eject_after", int),
+    "cooldown": ("cooldown_s", float),
+    "lag": ("endpoint_lag_s", float),
+}
 
 
 def partition_by_shard(pods: Sequence) -> Dict[int, List]:
@@ -79,58 +88,20 @@ class RoutingPolicy:
     def parse(cls, text: str) -> "RoutingPolicy":
         """Build a policy from a compact CLI spec.
 
-        Comma-separated: an optional leading bare discipline (``rr`` /
-        ``lor``) plus ``key=value`` options, e.g.
-        ``"lor,eject=3,cooldown=15,lag=2"``. Empty string = plain
-        round-robin.
+        Comma-separated: an optional bare discipline (``rr`` / ``lor``)
+        plus ``key=value`` options, e.g. ``"lor,eject=3,cooldown=15,lag=2"``.
+        Empty string = plain round-robin.
         """
-        kwargs: dict = {}
-        keys = {
-            "eject": ("eject_after", int),
-            "cooldown": ("cooldown_s", float),
-            "lag": ("endpoint_lag_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                if part not in DISCIPLINES:
-                    raise ValueError(
-                        f"unknown routing discipline {part!r}; "
-                        f"known: {list(DISCIPLINES)}"
-                    )
-                kwargs["discipline"] = part
-                continue
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown routing spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(
+            **parse_options(
+                text, _KEYS, what="routing",
+                positional=("discipline", DISCIPLINES),
+            )
+        )
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        default = RoutingPolicy()
-        parts = [self.discipline]
-        if self.eject_after is not None:
-            parts.append(f"eject={self.eject_after}")
-        if self.cooldown_s != default.cooldown_s:
-            parts.append(f"cooldown={self.cooldown_s:g}")
-        if self.endpoint_lag_s != default.endpoint_lag_s:
-            parts.append(f"lag={self.endpoint_lag_s:g}")
-        return ",".join(parts)
-
-    def describe(self) -> str:
-        name = (
-            "round-robin" if self.discipline == "rr"
-            else "least-outstanding-requests"
-        )
-        if self.eject_after is None:
-            return name
-        return (
-            f"{name}, eject after {self.eject_after} consecutive 503s "
-            f"for {self.cooldown_s:g} s"
-        )
+        return ",".join([self.discipline] + format_options(self, _KEYS))
 
 
 __all__ = ["RoutingPolicy", "DISCIPLINES", "partition_by_shard"]

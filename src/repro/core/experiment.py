@@ -17,9 +17,11 @@ import json
 from dataclasses import asdict, replace
 from typing import TYPE_CHECKING, List, Optional
 
+from repro.cluster.composition import check_composition
 from repro.cluster.kubernetes import AuxiliaryFleet, DeploymentError
 from repro.cluster.provisioning import Infrastructure, make_infra
 from repro.cluster.service import ClusterIPService
+from repro.core.features import active, enabled_features, spec_string
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry, ServingAssets
 from repro.core.spec import ExperimentSpec
 from repro.hardware.instances import instance_by_name
@@ -96,15 +98,12 @@ class ExperimentRunner:
         spans and cluster metrics for this run (see ``docs/observability.md``);
         with the default ``None`` the run carries zero instrumentation.
         """
+        check_composition(enabled_features(spec), DeploymentError)
         instance = instance_by_name(spec.hardware.instance_type)
         # ANN retrieval swaps the scoring head behind the same assets
         # pipeline; None (or an "exact" config) leaves every asset exactly
         # the config-less one — the bit-identity contract.
-        retrieval = (
-            spec.retrieval
-            if spec.retrieval is not None and spec.retrieval.enabled
-            else None
-        )
+        retrieval = active(spec.retrieval)
         assets = self.registry.assets(
             spec.model,
             spec.catalog_size,
@@ -132,12 +131,8 @@ class ExperimentRunner:
         # profile; None when no feature is enabled so the default path
         # stays bit-identical.
         server_profile = None
-        if (
-            spec.admission is not None
-            or spec.fallback is not None
-            or spec.cache is not None
-            or retrieval is not None
-        ):
+        profiled = (spec.admission, spec.fallback, spec.cache, retrieval)
+        if any(config is not None for config in profiled):
             retrieval_descriptor = None
             if retrieval is not None:
                 # Resolve the auto nlist so server telemetry reports the
@@ -156,11 +151,7 @@ class ExperimentRunner:
         # deployed profile / footprint / score traffic shrink to the
         # largest shard's share. Disabled (None or S=1) leaves every
         # value exactly the full-catalog one — the bit-identity contract.
-        sharding = (
-            spec.sharding
-            if spec.sharding is not None and spec.sharding.enabled
-            else None
-        )
+        sharding = active(spec.sharding)
         service_profile = assets.profile
         resident_bytes = assets.resident_bytes
         score_bytes = assets.score_bytes_per_item
@@ -206,20 +197,10 @@ class ExperimentRunner:
         # Heterogeneous scheduler: a CPU pod pool beside the (GPU) primary
         # fleet plus self-tuning batching. Disabled (None or "off") leaves
         # the deployment call byte-for-byte the single-class one.
-        scheduler = (
-            spec.scheduler
-            if spec.scheduler is not None and spec.scheduler.enabled
-            else None
-        )
+        scheduler = active(spec.scheduler)
         auxiliary = None
         batching = BatchingConfig()
         if scheduler is not None:
-            if sharding is not None:
-                raise DeploymentError(
-                    "the heterogeneous scheduler does not compose with "
-                    "catalog sharding: CPU pods must hold the full catalog "
-                    "to answer any request the dispatcher sends them"
-                )
             batching = BatchingConfig(
                 max_batch_size=scheduler.max_batch,
                 max_delay_s=scheduler.linger_s,
@@ -250,21 +231,6 @@ class ExperimentRunner:
         tenancy = spec.tenants
         tenant_servings: Optional[List[TenantServing]] = None
         if tenancy is not None:
-            if sharding is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with catalog sharding: "
-                    "every pod must host every tenant's full catalog"
-                )
-            if scheduler is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with the heterogeneous "
-                    "scheduler's auxiliary pool"
-                )
-            if retrieval is not None:
-                raise DeploymentError(
-                    "a tenant fleet does not compose with ANN retrieval: "
-                    "per-tenant index builds are not modeled"
-                )
             # Lazy import: placement reaches back into the planner (which
             # imports this module) for the standalone baseline.
             from repro.tenancy.placement import check_colocation
@@ -486,12 +452,18 @@ class ExperimentRunner:
             series=series if spec.collect_series else None,
             backpressure_stalls=generator.backpressure_stalls if generator else 0,
         )
+        # Current pod servers only: a restarted pod starts fresh counters,
+        # so pre-crash tallies are not included in the sections below.
+        deployment = state.get("deployment")
+        servers = [
+            pod.server
+            for pod in (deployment.pods if deployment is not None else ())
+            if pod.server is not None
+        ]
         if spec.retry is not None or spec.chaos is not None:
             chaos = state.get("chaos")
             result.resilience = {
-                "retry_policy": (
-                    spec.retry.spec_string() if spec.retry is not None else None
-                ),
+                "retry_policy": spec_string(spec.retry),
                 "retries": generator.retries if generator else 0,
                 "hedges": generator.hedges if generator else 0,
                 "retry_successes": (
@@ -500,53 +472,21 @@ class ExperimentRunner:
                 "retry_exhausted": (
                     generator.retry_exhausted if generator else 0
                 ),
-                "chaos_schedule": (
-                    spec.chaos.spec_string() if spec.chaos is not None else None
-                ),
+                "chaos_schedule": spec_string(spec.chaos),
                 "chaos_events": chaos.fired if chaos is not None else [],
             }
-        overload_on = (
-            spec.slo_deadline_s is not None
-            or spec.admission is not None
-            or spec.routing is not None
-            or spec.fallback is not None
-        )
-        if overload_on:
+        overload = (spec.slo_deadline_s, spec.admission, spec.routing, spec.fallback)
+        if any(value is not None for value in overload):
             service = state.get("service")
-            deployment = state.get("deployment")
-            shed_deadline = shed_codel = shed_queue_full = degraded = 0
-            if deployment is not None:
-                # Current pod servers only: a restarted pod starts fresh
-                # counters, so pre-crash sheds are not included here.
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None:
-                        continue
-                    shed_deadline += server.shed_deadline
-                    shed_codel += server.shed_codel
-                    shed_queue_full += server.shed_queue_full
-                    degraded += server.degraded_served
             result.overload = {
                 "slo_deadline_s": spec.slo_deadline_s,
-                "admission": (
-                    spec.admission.spec_string()
-                    if spec.admission is not None
-                    else None
-                ),
-                "routing": (
-                    spec.routing.spec_string()
-                    if spec.routing is not None
-                    else None
-                ),
-                "fallback": (
-                    spec.fallback.spec_string()
-                    if spec.fallback is not None
-                    else None
-                ),
-                "shed_deadline": shed_deadline,
-                "shed_codel": shed_codel,
-                "shed_queue_full": shed_queue_full,
-                "degraded_served": degraded,
+                "admission": spec_string(spec.admission),
+                "routing": spec_string(spec.routing),
+                "fallback": spec_string(spec.fallback),
+                "shed_deadline": sum(s.shed_deadline for s in servers),
+                "shed_codel": sum(s.shed_codel for s in servers),
+                "shed_queue_full": sum(s.shed_queue_full for s in servers),
+                "degraded_served": sum(s.degraded_served for s in servers),
                 "degraded_fraction": collector.degraded_fraction,
                 "ejections": service.ejections if service is not None else 0,
                 "probe_recoveries": (
@@ -555,22 +495,19 @@ class ExperimentRunner:
                 "p90_full_ms": collector.percentile_full_ms(90),
                 "p90_degraded_ms": collector.percentile_degraded_ms(90),
             }
-        if spec.cache is not None and spec.cache.enabled:
-            deployment = state.get("deployment")
+        if active(spec.cache) is not None:
             tallies = {
                 "hits_local": 0, "hits_remote": 0, "misses": 0,
                 "fills": 0, "coalesced": 0, "evictions": 0, "expirations": 0,
             }
             remote_entries = None
-            if deployment is not None:
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None or server.cache is None:
-                        continue
-                    for key, value in server.cache.stats().items():
-                        tallies[key] += value
-                    if server.cache.remote is not None:
-                        remote_entries = len(server.cache.remote)
+            for server in servers:
+                if server.cache is None:
+                    continue
+                for key, value in server.cache.stats().items():
+                    tallies[key] += value
+                if server.cache.remote is not None:
+                    remote_entries = len(server.cache.remote)
             lookups = tallies["hits_local"] + tallies["hits_remote"] + tallies["misses"]
             result.cache = {
                 "config": spec.cache.spec_string(),
@@ -585,7 +522,7 @@ class ExperimentRunner:
                 "p90_hit_ms": collector.percentile_hit_ms(90),
                 "p90_miss_ms": collector.percentile_miss_ms(90),
             }
-        if spec.sharding is not None and spec.sharding.enabled:
+        if active(spec.sharding) is not None:
             service = state.get("service")
             aggregator = service.aggregator if service is not None else None
             result.sharding = {
@@ -597,41 +534,30 @@ class ExperimentRunner:
                     else {"shards": spec.sharding.shards}
                 ),
             }
-        if spec.scheduler is not None and spec.scheduler.enabled:
+        if active(spec.scheduler) is not None:
             runtime = state.get("scheduler")
             if runtime is not None:
                 result.scheduler = runtime.summary()
-        if spec.retrieval is not None and spec.retrieval.enabled:
+        if active(spec.retrieval) is not None:
             info = dict(state.get("retrieval") or {})
-            deployment = state.get("deployment")
-            ann_queries = ann_probed = 0
-            if deployment is not None:
-                for pod in deployment.pods:
-                    server = pod.server
-                    if server is None:
-                        continue
-                    ann_queries += getattr(server, "ann_queries", 0)
-                    ann_probed += getattr(server, "ann_probed_lists", 0)
-            info["ann_queries"] = ann_queries
-            info["ann_probed_lists"] = ann_probed
+            info["ann_queries"] = sum(
+                getattr(s, "ann_queries", 0) for s in servers
+            )
+            info["ann_probed_lists"] = sum(
+                getattr(s, "ann_probed_lists", 0) for s in servers
+            )
             result.retrieval = info
         if spec.zones > 1:
             result.availability = self._availability_section(spec, state)
         if spec.tenants is not None:
             splitter = state.get("splitter")
             if splitter is not None:
-                deployment = state.get("deployment")
                 shed_by_tenant: dict = {}
-                if deployment is not None:
-                    # Current pod servers only (restart caveat as above).
-                    for pod in deployment.pods:
-                        server = pod.server
-                        if server is None or server.tenants is None:
-                            continue
-                        for name, count in server.shed_by_tenant.items():
-                            shed_by_tenant[name] = (
-                                shed_by_tenant.get(name, 0) + count
-                            )
+                for server in servers:
+                    if server.tenants is None:
+                        continue
+                    for name, count in server.shed_by_tenant.items():
+                        shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
                 rollouts = [r.summary() for r in state.get("rollouts", [])]
                 result.tenancy = splitter.summary(
                     duration_s=spec.duration_s,

@@ -17,6 +17,8 @@ from typing import TYPE_CHECKING, Dict, List, Optional
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
 from repro.cluster.chaos import ChaosSchedule
+from repro.cluster.composition import check_composition
+from repro.core.features import active, spec_string
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry
 from repro.hardware.device import DeviceModel
 from repro.loadgen.generator import LoadGenerator
@@ -89,6 +91,9 @@ class InfraTestResult:
     #: Per-tenant routing/shedding tallies, present when the run split
     #: traffic across a tenant fleet (``--tenants``).
     tenancy: Optional[Dict] = None
+    #: Retry/hedge/chaos tallies, present when the run had a retry policy
+    #: or a chaos schedule configured.
+    resilience: Optional[Dict] = None
 
     @property
     def error_rate(self) -> float:
@@ -131,28 +136,26 @@ def run_infra_test(
     """
     if server_kind not in ("torchserve", "actix"):
         raise ValueError("server_kind must be 'torchserve' or 'actix'")
-    if chaos is not None and server_kind != "actix":
-        raise ValueError(
-            "chaos injection needs the actix server's crash/slowdown hooks"
-        )
-    if (admission is not None or fallback is not None) and server_kind != "actix":
-        raise ValueError(
-            "admission control / fallback are Actix-server features"
-        )
-    if cache is not None and server_kind != "actix":
-        raise ValueError("the result cache is an Actix-server feature")
-    if sharding is not None and sharding.enabled and server_kind != "actix":
-        raise ValueError("catalog sharding is an Actix-server feature")
-    if retrieval is not None and retrieval.enabled and server_kind != "actix":
-        raise ValueError("ANN retrieval is an Actix-server feature")
-    if retrieval is not None and not retrieval.enabled:
-        retrieval = None
-    if tenants is not None and not tenants.enabled:
-        tenants = None
-    if tenants is not None and server_kind != "actix":
-        raise ValueError("tenant fleets are an Actix-server feature")
-    if tenants is not None and sharding is not None and sharding.enabled:
-        raise ValueError("a tenant fleet does not compose with sharding")
+    retrieval, tenants, sharding = map(active, (retrieval, tenants, sharding))
+    if server_kind != "actix":
+        # TorchServe has no fault hooks, admission, cache or scatter path.
+        for name, value in (
+            ("chaos injection", chaos),
+            ("admission control", admission),
+            ("the fallback tier", fallback),
+            ("the result cache", cache),
+            ("catalog sharding", sharding),
+            ("ANN retrieval", retrieval),
+            ("a tenant fleet", tenants),
+        ):
+            if value is not None:
+                raise ValueError(f"{name} is an Actix-server feature")
+    # Retrieval here only stamps a descriptor on the no-op model (no index
+    # is built), so of the composition matrix only this pair applies.
+    check_composition(
+        {"tenants": tenants is not None, "sharding": sharding is not None},
+        ValueError,
+    )
     registry = registry or GLOBAL_REGISTRY
     assets = registry.assets("noop", 1, INFRA_TEST_DEVICE, "eager", top_k=1)
 
@@ -173,19 +176,14 @@ def run_infra_test(
         submit_target = server.submit
     else:
         server_profile = None
-        if (
-            admission is not None
-            or fallback is not None
-            or cache is not None
-            or retrieval is not None
-        ):
+        if any(c is not None for c in (admission, fallback, cache, retrieval)):
             server_profile = ActixProfile(
                 admission=admission,
                 fallback=fallback,
                 cache=cache,
                 retrieval=retrieval,
             )
-        if sharding is not None and sharding.enabled:
+        if sharding is not None:
             # One bare server per shard behind a scatter-gather front;
             # the aggregator charges the fan-out network legs and the
             # merge cost (the figure-2 single-server path has no legs).
@@ -286,12 +284,8 @@ def run_infra_test(
     if slo_deadline_s is not None or admission is not None or fallback is not None:
         overload = {
             "slo_deadline_s": slo_deadline_s,
-            "admission": (
-                admission.spec_string() if admission is not None else None
-            ),
-            "fallback": (
-                fallback.spec_string() if fallback is not None else None
-            ),
+            "admission": spec_string(admission),
+            "fallback": spec_string(fallback),
             "shed_deadline": sum(getattr(s, "shed_deadline", 0) for s in servers),
             "shed_codel": sum(getattr(s, "shed_codel", 0) for s in servers),
             "shed_queue_full": sum(
@@ -356,6 +350,7 @@ def run_infra_test(
             duration_s=duration_s, shed_by_tenant=shed_by_tenant
         )
 
+    chaos_events = controller.fired if controller is not None else []
     return InfraTestResult(
         server=server_kind,
         target_rps=target_rps,
@@ -369,7 +364,16 @@ def run_infra_test(
         series=LatencySeries.from_collector(collector),
         retries=generator.retries,
         hedges=generator.hedges,
-        chaos_events=controller.fired if controller is not None else [],
+        chaos_events=chaos_events,
+        resilience=(
+            {
+                "retries": generator.retries,
+                "hedges": generator.hedges,
+                "chaos_events": chaos_events,
+            }
+            if retry_policy is not None or chaos is not None
+            else None
+        ),
         overload=overload,
         cache=cache_section,
         sharding=sharding_section,

@@ -20,6 +20,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from repro.ann.config import RetrievalConfig
 from repro.cache.planning import estimate_hit_rate
 from repro.cache.tier import CacheConfig
+from repro.cluster.composition import conflict
 from repro.cluster.kubernetes import DeploymentError
 from repro.core.experiment import ExperimentRunner
 from repro.core.spec import SLO, ExperimentSpec, HardwareSpec, Scenario
@@ -527,8 +528,8 @@ class DeploymentPlanner:
                 )
         if scheduler is not None:
             key = f"{key} {{{scheduler.spec_string()}}}"
-            if shards > 1:
-                # Structural non-composition, not a scenario property —
+            if conflict({"scheduler": True, "sharding": shards > 1}):
+                # A declared non-composition, not a scenario property —
                 # skip quietly.
                 return CandidateOutcome(key=key, skipped=True)
             if not instance.device.is_accelerator:

@@ -8,7 +8,7 @@ five end-to-end use-case scenarios of Table I.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional, Tuple, Union
 
 from repro.ann.config import RetrievalConfig
@@ -16,6 +16,7 @@ from repro.cache.tier import CacheConfig
 from repro.scheduler.config import SchedulerConfig
 from repro.cluster.chaos import ChaosSchedule
 from repro.cluster.routing import RoutingPolicy
+from repro.core.features import FEATURES
 from repro.loadgen.retry import RetryPolicy
 from repro.serving.admission import AdmissionPolicy
 from repro.serving.fallback import FallbackConfig
@@ -59,63 +60,39 @@ class ExperimentSpec:
     workload: Optional[WorkloadStatistics] = None
     seed: int = 1234
     collect_series: bool = True
-    #: Client retry/hedging behaviour (None = every error is terminal).
-    #: Accepts a :class:`~repro.loadgen.retry.RetryPolicy` or its compact
-    #: spec string (``"max=3,base=0.05"``; ``""`` = defaults).
+    # The opt-in features (repro.core.features). Each field accepts its
+    # config object or the compact spec string of the matching CLI flag;
+    # None (or a disabled config) is the paper's behaviour, bit-identical
+    # to a run without the field.
+    #: Client retries/hedging (None = every error is terminal).
     retry: Optional[Union[RetryPolicy, str]] = None
-    #: Fault-injection schedule anchored at load start (None = no chaos).
-    #: Accepts a :class:`~repro.cluster.chaos.ChaosSchedule` or its compact
-    #: spec string (``"crash@60:restart=20"``).
+    #: Fault-injection schedule; event times count from load start.
     chaos: Optional[Union[ChaosSchedule, str]] = None
-    #: Per-request latency SLO in seconds; the load generator stamps each
-    #: request with ``sent_at + slo_deadline_s`` so admission control can
-    #: shed doomed work. None = no deadlines (the paper's behaviour).
+    #: Per-request latency SLO in seconds: requests carry the deadline
+    #: ``sent_at + slo_deadline_s`` so admission control can shed them.
     slo_deadline_s: Optional[float] = None
-    #: Deadline-aware admission control on the Actix server (None = queue
-    #: without shedding). Accepts an
-    #: :class:`~repro.serving.admission.AdmissionPolicy` or its compact spec
-    #: string (``"codel,slack=0.01"``; ``""`` = FIFO defaults).
+    #: Deadline-aware admission control on the Actix server.
     admission: Optional[Union[AdmissionPolicy, str]] = None
-    #: Health-aware service routing (None = the paper's plain round-robin).
-    #: Accepts a :class:`~repro.cluster.routing.RoutingPolicy` or its
-    #: compact spec string (``"lor,eject=3"``; ``""`` = plain round-robin).
+    #: Health-aware service routing (None = plain round-robin).
     routing: Optional[Union[RoutingPolicy, str]] = None
-    #: Graceful-degradation tier (None = sheds surface as 503s). Accepts a
-    #: :class:`~repro.serving.fallback.FallbackConfig` or its compact spec
-    #: string (``"budget=0.002,topk=21"``; ``""`` = defaults).
+    #: Graceful-degradation tier (None = sheds surface as 503s).
     fallback: Optional[Union[FallbackConfig, str]] = None
-    #: Session-prefix result cache + request coalescing (None = every
-    #: request runs the model, the paper's behaviour). Accepts a
-    #: :class:`~repro.cache.tier.CacheConfig` or its compact spec string
-    #: (``"lfu,capacity=8192,window=4"``; ``""`` = LRU defaults).
+    #: Session-prefix result cache + request coalescing.
     cache: Optional[Union[CacheConfig, str]] = None
-    #: Catalog sharding with scatter-gather top-k (None or S=1 = the
-    #: paper's single-slice serving). ``replicas`` is then *per shard*.
-    #: Accepts a :class:`~repro.sharding.config.ShardingConfig`, its
-    #: compact spec string (``"4"`` / ``"4,partial=off"``) or a bare int.
+    #: Catalog sharding with scatter-gather top-k; also a bare shard
+    #: count. ``replicas`` is then *per shard*.
     sharding: Optional[Union[ShardingConfig, str, int]] = None
-    #: ANN retrieval mode (None or ``kind="exact"`` = the paper's exact
-    #: catalog scan, bit-identical to a config-less run). Accepts a
-    #: :class:`~repro.ann.config.RetrievalConfig` or its compact spec
-    #: string (``"ivf:nlist=1024,nprobe=32"``; ``""`` = IVF defaults).
+    #: ANN retrieval mode (None or ``"exact"`` = the exact catalog scan).
     retrieval: Optional[Union[RetrievalConfig, str]] = None
-    #: Heterogeneous CPU/GPU scheduler (None or ``"off"`` = the paper's
-    #: single-class serving, bit-identical to a config-less run). Accepts
-    #: a :class:`~repro.scheduler.config.SchedulerConfig` or its compact
-    #: spec string (``"cpu=1,short=4,target=50"``; ``""`` = defaults).
+    #: Heterogeneous CPU/GPU scheduler (None or ``"off"`` = single class).
     scheduler: Optional[Union[SchedulerConfig, str]] = None
-    #: Failure domains to spread the fleet over (1 = no zone topology,
-    #: the paper's single-domain cluster, bit-identical to a pre-zone
-    #: run). With ``zones > 1``, replicas spread round-robin so a shard's
-    #: replicas never co-locate when ``replicas <= zones``, cross-zone
-    #: network legs are charged, and ``zone@T:name=z0`` chaos becomes
-    #: meaningful. See ``docs/availability.md``.
+    #: Failure domains to spread the fleet over (1 = no zone topology).
+    #: With ``zones > 1`` a shard's replicas never co-locate when
+    #: ``replicas <= zones`` and cross-zone network legs are charged; see
+    #: ``docs/availability.md``.
     zones: int = 1
-    #: Co-located tenant fleet (None or an empty fleet = the paper's
-    #: single-model serving, bit-identical to a config-less run). Accepts
-    #: a :class:`~repro.tenancy.config.TenancyConfig` or its compact spec
-    #: string (``"a=gru4rec:3,slo=60;b=narm:1,slo=120"``). See
-    #: ``docs/tenancy.md``.
+    #: Co-located tenant fleet (None or an empty fleet = single-model
+    #: serving); see ``docs/tenancy.md``.
     tenants: Optional[Union[TenancyConfig, str]] = None
 
     def __post_init__(self):
@@ -123,32 +100,16 @@ class ExperimentSpec:
             raise ValueError("execution must be 'jit', 'eager' or 'onnx'")
         if self.catalog_size < 1 or self.target_rps < 1:
             raise ValueError("catalog_size and target_rps must be positive")
+        for feature in FEATURES.values():
+            value = getattr(self, feature.name)
+            if isinstance(value, str):
+                object.__setattr__(self, feature.name, feature.coerce(value))
         if self.zones < 1:
             raise ValueError("zones must be >= 1")
-        if isinstance(self.retry, str):
-            object.__setattr__(self, "retry", RetryPolicy.parse(self.retry))
-        if isinstance(self.chaos, str):
-            object.__setattr__(self, "chaos", ChaosSchedule.parse(self.chaos))
         if self.slo_deadline_s is not None and self.slo_deadline_s <= 0:
             raise ValueError("slo_deadline_s must be positive")
-        if isinstance(self.admission, str):
-            object.__setattr__(self, "admission", AdmissionPolicy.parse(self.admission))
-        if isinstance(self.routing, str):
-            object.__setattr__(self, "routing", RoutingPolicy.parse(self.routing))
-        if isinstance(self.fallback, str):
-            object.__setattr__(self, "fallback", FallbackConfig.parse(self.fallback))
-        if isinstance(self.cache, str):
-            object.__setattr__(self, "cache", CacheConfig.parse(self.cache))
-        if isinstance(self.sharding, str):
-            object.__setattr__(self, "sharding", ShardingConfig.parse(self.sharding))
-        elif isinstance(self.sharding, int) and not isinstance(self.sharding, bool):
+        if isinstance(self.sharding, int) and not isinstance(self.sharding, bool):
             object.__setattr__(self, "sharding", ShardingConfig(shards=self.sharding))
-        if isinstance(self.retrieval, str):
-            object.__setattr__(self, "retrieval", RetrievalConfig.parse(self.retrieval))
-        if isinstance(self.scheduler, str):
-            object.__setattr__(self, "scheduler", SchedulerConfig.parse(self.scheduler))
-        if isinstance(self.tenants, str):
-            object.__setattr__(self, "tenants", TenancyConfig.parse(self.tenants))
         if (
             isinstance(self.tenants, TenancyConfig)
             and not self.tenants.enabled

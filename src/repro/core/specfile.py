@@ -25,47 +25,38 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict
-from typing import Any, Dict, List, Tuple, Union
+from typing import Any, Dict, List, Tuple
 
+from repro.core.features import FEATURES
 from repro.core.spec import SLO, ExperimentSpec, HardwareSpec
 from repro.workload.statistics import WorkloadStatistics
 
-_KNOWN_KEYS = {
-    "model",
-    "catalog_size",
-    "target_rps",
-    "hardware",
-    "duration_s",
-    "execution",
-    "top_k",
-    "workload",
-    "seed",
-    "slo",
-    "retry",
-    "chaos",
-    "slo_deadline_s",
-    "admission",
-    "routing",
-    "fallback",
-    "cache",
-    "shards",
-    "retrieval",
-    "scheduler",
-    "zones",
-    "tenants",
-}
+#: Spec-file keys besides the feature keys of the feature table.
+_BASE_KEYS = (
+    "model", "catalog_size", "target_rps", "hardware", "duration_s",
+    "execution", "top_k", "workload", "seed", "slo",
+)
 
 
 def spec_from_dict(raw: Dict[str, Any]) -> Tuple[ExperimentSpec, SLO]:
     """Build an (ExperimentSpec, SLO) pair from a declarative document."""
-    unknown = set(raw) - _KNOWN_KEYS
+    known = {*_BASE_KEYS, *(f.spec_key for f in FEATURES.values())}
+    unknown = set(raw) - known
     if unknown:
         raise ValueError(
-            f"unknown spec keys: {sorted(unknown)}; known: {sorted(_KNOWN_KEYS)}"
+            f"unknown spec keys: {sorted(unknown)}; known: {sorted(known)}"
         )
     for required in ("model", "catalog_size", "target_rps"):
         if required not in raw:
             raise ValueError(f"spec is missing required key {required!r}")
+
+    features = {}
+    for feature in FEATURES.values():
+        if feature.spec_key in raw:
+            try:
+                features[feature.name] = feature.coerce(raw[feature.spec_key])
+            except ValueError as error:
+                raise ValueError(f"key {feature.spec_key!r}: {error}") from None
 
     hardware_raw = raw.get("hardware", {})
     hardware = HardwareSpec(
@@ -100,20 +91,7 @@ def spec_from_dict(raw: Dict[str, Any]) -> Tuple[ExperimentSpec, SLO]:
         top_k=int(raw.get("top_k", 21)),
         workload=workload,
         seed=int(raw.get("seed", 1234)),
-        retry=raw.get("retry"),
-        chaos=raw.get("chaos"),
-        slo_deadline_s=(
-            float(raw["slo_deadline_s"]) if "slo_deadline_s" in raw else None
-        ),
-        admission=raw.get("admission"),
-        routing=raw.get("routing"),
-        fallback=raw.get("fallback"),
-        cache=raw.get("cache"),
-        sharding=raw.get("shards"),
-        retrieval=raw.get("retrieval"),
-        scheduler=raw.get("scheduler"),
-        zones=int(raw.get("zones", 1)),
-        tenants=raw.get("tenants"),
+        **features,
     )
     return spec, slo
 
@@ -145,30 +123,12 @@ def spec_to_dict(spec: ExperimentSpec, slo: SLO = SLO()) -> Dict[str, Any]:
         "seed": spec.seed,
         "slo": asdict(slo),
     }
-    if spec.retry is not None:
-        document["retry"] = spec.retry.spec_string()
-    if spec.chaos is not None:
-        document["chaos"] = spec.chaos.spec_string()
-    if spec.slo_deadline_s is not None:
-        document["slo_deadline_s"] = spec.slo_deadline_s
-    if spec.admission is not None:
-        document["admission"] = spec.admission.spec_string()
-    if spec.routing is not None:
-        document["routing"] = spec.routing.spec_string()
-    if spec.fallback is not None:
-        document["fallback"] = spec.fallback.spec_string()
-    if spec.cache is not None:
-        document["cache"] = spec.cache.spec_string()
-    if spec.sharding is not None:
-        document["shards"] = spec.sharding.spec_string()
-    if spec.retrieval is not None:
-        document["retrieval"] = spec.retrieval.spec_string()
-    if spec.scheduler is not None:
-        document["scheduler"] = spec.scheduler.spec_string()
-    if spec.zones != 1:
-        document["zones"] = spec.zones
-    if spec.tenants is not None:
-        document["tenants"] = spec.tenants.spec_string()
+    for feature in FEATURES.values():
+        value = getattr(spec, feature.name)
+        if value != feature.default:
+            document[feature.spec_key] = (
+                value.spec_string() if hasattr(value, "spec_string") else value
+            )
     if spec.workload is not None:
         document["workload"] = {
             "catalog_size": spec.workload.catalog_size,

@@ -18,10 +18,15 @@ import os
 from dataclasses import dataclass
 from typing import Optional, Union
 
+from repro.options import parse_options
+
 #: Environment variable consulted when no explicit backend is given.
 BACKEND_ENV_VAR = "ETUDE_BACKEND"
 
 _KINDS = ("serial", "mp")
+
+#: Spec key -> (field, converter) for the ``mp:`` options.
+_KEYS = {"workers": ("workers", int)}
 
 
 @dataclass(frozen=True)
@@ -62,26 +67,12 @@ class BackendConfig:
             raise ValueError(
                 f"unknown backend {kind!r}; expected 'serial' or 'mp[:workers=N]'"
             )
-        workers = 0
-        if options:
-            for part in options.split(","):
-                part = part.strip()
-                if not part:
-                    continue
-                name, eq, value = part.partition("=")
-                if name.strip() != "workers" or not eq:
-                    raise ValueError(
-                        f"unknown backend option {part!r}; expected 'workers=N'"
-                    )
-                try:
-                    workers = int(value.strip())
-                except ValueError:
-                    raise ValueError(f"workers must be an integer: {value!r}")
-                if workers < 1:
-                    raise ValueError("workers must be >= 1")
-            if kind == "serial":
-                raise ValueError("the serial backend takes no options")
-        return cls(kind=kind, workers=workers)
+        kwargs = parse_options(options, _KEYS, what="backend")
+        if kwargs and kind == "serial":
+            raise ValueError("the serial backend takes no options")
+        if kwargs.get("workers", 1) < 1:
+            raise ValueError("workers must be >= 1")
+        return cls(kind=kind, **kwargs)
 
     def spec_string(self) -> str:
         """The canonical spec string (``parse`` round-trips it)."""

@@ -26,7 +26,18 @@ from typing import FrozenSet, Optional
 
 import numpy as np
 
+from repro.options import format_options, parse_options
 from repro.serving.request import HTTP_SERVICE_UNAVAILABLE
+
+#: Spec key -> (field, converter) for :meth:`RetryPolicy.parse`.
+_KEYS = {
+    "max": ("max_retries", int),
+    "base": ("base_backoff_s", float),
+    "cap": ("max_backoff_s", float),
+    "mult": ("multiplier", float),
+    "jitter": ("jitter", float),
+    "hedge": ("hedge_after_s", float),
+}
 
 
 @dataclass(frozen=True)
@@ -92,51 +103,8 @@ class RetryPolicy:
         key optional, empty string = all defaults. ``hedge`` enables hedged
         requests after that many seconds.
         """
-        kwargs: dict = {}
-        keys = {
-            "max": ("max_retries", int),
-            "base": ("base_backoff_s", float),
-            "cap": ("max_backoff_s", float),
-            "mult": ("multiplier", float),
-            "jitter": ("jitter", float),
-            "hedge": ("hedge_after_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"bad retry spec item {part!r}; expected key=value"
-                )
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown retry spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(**parse_options(text, _KEYS, what="retry"))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        parts = [
-            f"max={self.max_retries}",
-            f"base={self.base_backoff_s:g}",
-            f"cap={self.max_backoff_s:g}",
-            f"mult={self.multiplier:g}",
-            f"jitter={self.jitter:g}",
-        ]
-        if self.hedge_after_s is not None:
-            parts.append(f"hedge={self.hedge_after_s:g}")
-        return ",".join(parts)
-
-    def describe(self) -> str:
-        hedge = (
-            f", hedge after {self.hedge_after_s * 1000:.0f} ms"
-            if self.hedge_after_s is not None
-            else ""
-        )
-        return (
-            f"up to {self.max_retries} retries, backoff "
-            f"{self.base_backoff_s * 1000:.0f}->"
-            f"{self.max_backoff_s * 1000:.0f} ms x{self.multiplier:g}"
-            f"{hedge}"
-        )
+        return ",".join(format_options(self, _KEYS, changed_only=False))

@@ -1,9 +1,7 @@
 """Opt-in heterogeneous-scheduler configuration (``--scheduler``).
 
-Mirrors the compact-grammar contract of the other opt-in serving features
-(:class:`~repro.ann.config.RetrievalConfig` is the template): a frozen
-dataclass that parses from / renders to a short spec string, with
-``"off"`` meaning *disabled* so default runs stay bit-identical.
+Uses the shared option grammar of :mod:`repro.options`; ``"off"`` means
+*disabled*, so default runs stay bit-identical.
 
 The scheduler reproduces the DeepRecSys serving idea on top of the paper's
 fleet model: one deployment mixes a GPU primary fleet with a pool of CPU
@@ -45,6 +43,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Tuple
 
+from repro.options import format_options, on_off, parse_options
+
 #: key -> (attribute, converter) for the ``key=value`` grammar.
 _KEYS = {
     "cpu": ("cpu_replicas", int),
@@ -53,7 +53,7 @@ _KEYS = {
     "slack": ("slack_s", float),
     "batch": ("max_batch", int),
     "linger": ("linger_s", float),
-    "tune": ("tune", None),  # on/off, handled specially
+    "tune": ("tune", on_off),
     "epoch": ("epoch_s", float),
     "target": ("target_p_ms", float),
     "q": ("quantile", float),
@@ -118,78 +118,16 @@ class SchedulerConfig:
         disables; otherwise comma-separated ``key=value`` pairs. Unknown
         keys raise ``ValueError`` naming the accepted ones.
         """
-        text = text.strip()
-        if text in ("off", "none"):
+        if text.strip() in ("off", "none"):
             return cls(cpu_replicas=0, tune=False)
-        if text == "":
-            return cls()
-        values = {}
-        for item in text.split(","):
-            key, separator, value = item.partition("=")
-            key = key.strip()
-            value = value.strip()
-            if not separator or key not in _KEYS:
-                raise ValueError(
-                    f"unknown scheduler option {item.strip()!r}; expected "
-                    f"key=value with keys {', '.join(_KEYS)}"
-                )
-            attribute, converter = _KEYS[key]
-            if key == "tune":
-                if value not in ("on", "off"):
-                    raise ValueError(
-                        f"scheduler option tune needs on/off, got {value!r}"
-                    )
-                values[attribute] = value == "on"
-                continue
-            try:
-                values[attribute] = converter(value)
-            except ValueError:
-                raise ValueError(
-                    f"scheduler option {key} needs a "
-                    f"{converter.__name__}, got {value!r}"
-                )
-        return cls(**values)
+        return cls(**parse_options(text, _KEYS, what="scheduler"))
 
     def spec_string(self) -> str:
         """The canonical compact form; ``parse`` round-trips it."""
-        if not self.enabled:
+        options = format_options(self, _KEYS)
+        if options == ["cpu=0", "tune=off"]:
             return "off"
-        default = SchedulerConfig()
-        parts = []
-        for key, (attribute, _) in _KEYS.items():
-            value = getattr(self, attribute)
-            if value == getattr(default, attribute):
-                continue
-            if key == "tune":
-                parts.append(f"tune={'on' if value else 'off'}")
-            elif isinstance(value, float):
-                parts.append(f"{key}={value:g}")
-            else:
-                parts.append(f"{key}={value}")
-        return ",".join(parts) if parts else "cpu=1"
-
-    def describe(self) -> str:
-        """One-line human summary for CLI output."""
-        if not self.enabled:
-            return "disabled"
-        routing = []
-        if self.cpu_replicas:
-            routing.append(
-                f"{self.cpu_replicas}x {self.cpu_instance} pool "
-                f"(sessions <= {self.short_session} clicks or tight slack)"
-            )
-        else:
-            routing.append("no CPU pool")
-        tuner = (
-            f"tuner p{self.quantile:g} -> {self.target_p_ms:g} ms "
-            f"+/-{self.tolerance * 100:g}% every {self.epoch_s:g} s"
-            if self.tune
-            else "tuner off"
-        )
-        return (
-            f"{', '.join(routing)}; GPU batch {self.max_batch}/"
-            f"{self.linger_s * 1e3:g} ms; {tuner}"
-        )
+        return ",".join(options) or "cpu=1"
 
     def initial_batching(self) -> Tuple[int, float]:
         """The (max_batch, linger_s) pair GPU pods start from."""

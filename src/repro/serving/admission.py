@@ -45,7 +45,17 @@ import math
 from dataclasses import dataclass
 from typing import Deque, Optional, Tuple
 
+from repro.options import format_options, parse_options
+
 DISCIPLINES = ("fifo", "lifo", "codel")
+
+#: Spec key -> (field, converter) for :meth:`AdmissionPolicy.parse`.
+_KEYS = {
+    "slack": ("slack_s", float),
+    "depth": ("lifo_threshold", int),
+    "target": ("codel_target_s", float),
+    "interval": ("codel_interval_s", float),
+}
 
 
 class CoDelState:
@@ -139,63 +149,20 @@ class AdmissionPolicy:
     def parse(cls, text: str) -> "AdmissionPolicy":
         """Build a policy from a compact CLI spec.
 
-        Comma-separated: an optional leading bare discipline name plus
+        Comma-separated: an optional bare discipline name plus
         ``key=value`` options, e.g. ``"codel,target=0.005,interval=0.1"``
         or ``"lifo,depth=128,slack=0.01"``. Empty string = FIFO defaults.
         """
-        kwargs: dict = {}
-        keys = {
-            "slack": ("slack_s", float),
-            "depth": ("lifo_threshold", int),
-            "target": ("codel_target_s", float),
-            "interval": ("codel_interval_s", float),
-        }
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                if part not in DISCIPLINES:
-                    raise ValueError(
-                        f"unknown admission discipline {part!r}; "
-                        f"known: {list(DISCIPLINES)}"
-                    )
-                kwargs["discipline"] = part
-                continue
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown admission spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(
+            **parse_options(
+                text, _KEYS, what="admission",
+                positional=("discipline", DISCIPLINES),
+            )
+        )
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        default = AdmissionPolicy()
-        parts = [self.discipline]
-        for key, name in (
-            ("slack", "slack_s"),
-            ("depth", "lifo_threshold"),
-            ("target", "codel_target_s"),
-            ("interval", "codel_interval_s"),
-        ):
-            value = getattr(self, name)
-            if value != getattr(default, name):
-                parts.append(f"{key}={value:g}")
-        return ",".join(parts)
-
-    def describe(self) -> str:
-        extra = ""
-        if self.discipline == "lifo":
-            extra = f" (threshold {self.lifo_threshold})"
-        elif self.discipline == "codel":
-            extra = (
-                f" (target {self.codel_target_s * 1000:g} ms / "
-                f"interval {self.codel_interval_s * 1000:g} ms)"
-            )
-        return (
-            f"{self.discipline}{extra}, "
-            f"shed {self.slack_s * 1000:g} ms before deadline"
-        )
+        return ",".join([self.discipline] + format_options(self, _KEYS))
 
 
 __all__ = ["AdmissionPolicy", "CoDelState", "DISCIPLINES"]

@@ -28,6 +28,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.options import format_options, parse_options
+
+#: Spec key -> (field, converter) for :meth:`FallbackConfig.parse`.
+_KEYS = {"budget": ("budget_s", float), "topk": ("top_k", int)}
+
 
 @dataclass(frozen=True)
 class FallbackConfig:
@@ -52,30 +57,11 @@ class FallbackConfig:
         ``"budget=0.002,topk=21"`` — every key optional, empty string =
         all defaults (bare ``--fallback`` enables the tier as-is).
         """
-        kwargs: dict = {}
-        keys = {"budget": ("budget_s", float), "topk": ("top_k", int)}
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                raise ValueError(
-                    f"bad fallback spec item {part!r}; expected key=value"
-                )
-            key, _, value = part.partition("=")
-            if key not in keys:
-                raise ValueError(
-                    f"unknown fallback spec key {key!r}; known: {sorted(keys)}"
-                )
-            name, cast = keys[key]
-            kwargs[name] = cast(value)
-        return cls(**kwargs)
+        return cls(**parse_options(text, _KEYS, what="fallback"))
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        return f"budget={self.budget_s:g},topk={self.top_k}"
-
-    def describe(self) -> str:
-        return (
-            f"popularity top-{self.top_k} within {self.budget_s * 1000:g} ms"
-        )
+        return ",".join(format_options(self, _KEYS, changed_only=False))
 
 
 class PopularityFallback:

@@ -16,6 +16,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Tuple
 
+from repro.options import format_options, on_off, parse_options
+
+#: Spec key -> (field, converter) for :meth:`ShardingConfig.parse`.
+_KEYS = {"shards": ("shards", int), "partial": ("allow_partial", on_off)}
+
 
 @dataclass(frozen=True)
 class ShardingConfig:
@@ -49,42 +54,16 @@ class ShardingConfig:
         count; ``partial=on/off`` controls partial-result semantics.
         ``"shards=4"`` is accepted too.
         """
-        kwargs: dict = {}
-        for part in filter(None, (p.strip() for p in text.split(","))):
-            if "=" not in part:
-                try:
-                    kwargs["shards"] = int(part)
-                except ValueError:
-                    raise ValueError(
-                        f"bad shard count {part!r}; expected an integer"
-                    )
-                continue
-            key, _, value = part.partition("=")
-            if key == "shards":
-                kwargs["shards"] = int(value)
-            elif key == "partial":
-                if value not in ("on", "off"):
-                    raise ValueError("partial must be 'on' or 'off'")
-                kwargs["allow_partial"] = value == "on"
-            else:
-                raise ValueError(
-                    f"unknown sharding spec key {key!r}; "
-                    "known: shards, partial"
-                )
-        return cls(**kwargs)
+        return cls(
+            **parse_options(
+                text, _KEYS, what="sharding", positional=("shards", int)
+            )
+        )
 
     def spec_string(self) -> str:
         """The compact form :meth:`parse` accepts (for spec files)."""
-        parts = [str(self.shards)]
-        if not self.allow_partial:
-            parts.append("partial=off")
-        return ",".join(parts)
-
-    def describe(self) -> str:
-        if not self.enabled:
-            return "sharding off"
-        partial = "partial results" if self.allow_partial else "all-or-503"
-        return f"{self.shards} shards, {partial}"
+        options = format_options(self, _KEYS, skip=("shards",))
+        return ",".join([str(self.shards)] + options)
 
 
 def shard_bounds(total: int, shards: int) -> List[Tuple[int, int]]:

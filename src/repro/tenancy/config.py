@@ -48,15 +48,20 @@ import re
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+from repro.options import convert, format_value
+
 #: Queue depth below which weighted-fair shedding never engages.
 DEFAULT_FAIR_DEPTH = 64
 
 _NAME_RE = re.compile(r"^[a-z][a-z0-9_-]*$")
 
-
-def _fmt(value: float) -> str:
-    """Render a float without a trailing ``.0`` (round-trips cleanly)."""
-    return f"{value:g}"
+#: Tenant option key -> (field, converter); ``shadow`` is a bare flag.
+_OPTIONS = {
+    "slo": ("slo_ms", float),
+    "canary": ("canary_fraction", float),
+    "burst": ("burst", float),
+    "rollout": ("rollout_at_s", float),
+}
 
 
 @dataclass(frozen=True)
@@ -118,58 +123,39 @@ class TenantConfig:
             raise ValueError(
                 f"tenant segment {text!r} must start with name=model:weight"
             )
-        try:
-            weight = float(weight_text)
-        except ValueError:
-            raise ValueError(
-                f"tenant {name.strip()!r}: weight {weight_text!r} is not a number"
-            ) from None
         fields: Dict[str, object] = {
             "name": name.strip(),
             "model": model.strip(),
-            "weight": weight,
+            "weight": convert(f"tenant {name.strip()!r}", "weight", float, weight_text),
         }
         for option in filter(None, (o.strip() for o in options.split(","))):
             key, has_value, value = option.partition("=")
             key = key.strip().lower()
-            try:
-                if key == "shadow" and not has_value:
-                    fields["shadow"] = True
-                elif key == "slo":
-                    fields["slo_ms"] = float(value)
-                elif key == "canary":
-                    fields["canary_fraction"] = float(value)
-                elif key == "burst":
-                    fields["burst"] = float(value)
-                elif key == "rollout":
-                    fields["rollout_at_s"] = float(value)
-                else:
-                    raise ValueError(
-                        f"unknown tenant option {option!r} "
-                        "(expected slo=MS, shadow, canary=FRAC, burst=F, "
-                        "rollout=T)"
-                    )
-            except ValueError as error:
-                if "unknown tenant option" in str(error):
-                    raise
+            if key == "shadow" and not has_value:
+                fields["shadow"] = True
+            elif key in _OPTIONS:
+                field_name, cast = _OPTIONS[key]
+                fields[field_name] = convert("tenant", key, cast, value)
+            else:
                 raise ValueError(
-                    f"tenant option {option!r}: value is not a number"
-                ) from None
+                    f"unknown tenant option {option!r} "
+                    "(expected slo=MS, shadow, canary=FRAC, burst=F, rollout=T)"
+                )
         return cls(**fields)
 
     def spec_string(self) -> str:
         """Canonical segment accepted back by :meth:`parse`."""
-        parts = [f"{self.name}={self.model}:{_fmt(self.weight)}"]
+        parts = [f"{self.name}={self.model}:{format_value(self.weight)}"]
         if self.slo_ms is not None:
-            parts.append(f"slo={_fmt(self.slo_ms)}")
+            parts.append(f"slo={format_value(self.slo_ms)}")
         if self.shadow:
             parts.append("shadow")
         if self.canary_fraction > 0:
-            parts.append(f"canary={_fmt(self.canary_fraction)}")
+            parts.append(f"canary={format_value(self.canary_fraction)}")
         if self.burst != 1.0:
-            parts.append(f"burst={_fmt(self.burst)}")
+            parts.append(f"burst={format_value(self.burst)}")
         if self.rollout_at_s is not None:
-            parts.append(f"rollout={_fmt(self.rollout_at_s)}")
+            parts.append(f"rollout={format_value(self.rollout_at_s)}")
         return ",".join(parts)
 
 
@@ -251,13 +237,7 @@ class TenancyConfig:
             if ":" not in segment:
                 key, _, value = segment.partition("=")
                 if key.strip().lower() == "fair":
-                    try:
-                        fair_depth = int(value)
-                    except ValueError:
-                        raise ValueError(
-                            f"fleet option {segment!r}: fair depth is not "
-                            "an integer"
-                        ) from None
+                    fair_depth = convert("fleet", "fair", int, value)
                     continue
                 raise ValueError(
                     f"fleet segment {segment!r} is neither a tenant "
