@@ -11,8 +11,8 @@ the service.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence
+from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -42,6 +42,34 @@ def zone_name(index: int) -> str:
     return f"z{index}"
 
 
+@dataclass(frozen=True, eq=False)
+class PodTemplate:
+    """What a pod's server is built from (Kubernetes' ``spec.template``).
+
+    Start, kubelet restart and scale-up all boot a pod from its template.
+    The scheduler's tuner swaps retuned batching in with
+    :func:`dataclasses.replace`, so restarted pods come back tuned.
+    """
+
+    instance_type: InstanceType
+    artifact_path: str
+    service_profile: ServiceTimeProfile
+    batching: BatchingConfig
+    server_profile: Optional[ActixProfile] = None
+    model: Any = None
+    #: Bytes charged at model-load bandwidth (None: the stored blob's size).
+    load_bytes: Optional[float] = None
+    jit_warmup_s: float = 0.0
+    index_build_s: float = 0.0
+    sharding: Optional[ShardingConfig] = None
+    #: The deployment's one shared remote cache tier.
+    remote_cache: Optional[RemoteCacheTier] = None
+    #: The deployment's tenant table; each server gets its own clones.
+    tenants: Optional[Sequence["TenantServing"]] = None
+    tenant_fair_depth: int = 64
+    telemetry: Optional["Telemetry"] = None
+
+
 @dataclass
 class Pod:
     """One serving replica on one node."""
@@ -57,6 +85,8 @@ class Pod:
     #: single-zone deployments — the pre-zone default. Kubelet restarts
     #: reuse the Pod object, so a restarted pod keeps its home zone.
     zone: str = ""
+    #: What the pod's server is built from, on start and on every restart.
+    template: Optional[PodTemplate] = None
 
 
 @dataclass(frozen=True)
@@ -93,15 +123,15 @@ class ModelDeployment:
         name: str,
         pods: List[Pod],
         ready_signal: Signal,
-        restart_context: Optional[dict] = None,
+        template: PodTemplate,
         sharding: Optional[ShardingConfig] = None,
         zones: int = 1,
     ):
         self.name = name
         self.pods = pods
         self.ready_signal = ready_signal
-        #: Everything needed to restart a crashed pod (kept by the cluster).
-        self.restart_context = restart_context or {}
+        #: The primary fleet's pod template (scale-up boots from it).
+        self.template = template
         #: Catalog-sharding config; None or S=1 means unsharded.
         self.sharding = sharding
         #: Failure domains the fleet is spread over (1 = no zone topology).
@@ -288,6 +318,7 @@ class Cluster:
         if zones < 1:
             raise ValueError("zones must be >= 1")
         shards = sharding.shards if sharding is not None and sharding.enabled else 1
+        sharding = sharding if shards > 1 else None
         check_composition(
             {"tenants": tenants is not None, "sharding": shards > 1,
              "scheduler": auxiliary is not None},
@@ -317,119 +348,83 @@ class Cluster:
 
         # One shared remote cache tier per deployment (memcached-style
         # sidecar); every pod reaches the same store over a network hop.
-        remote_cache = None
-        if (
-            server_profile is not None
-            and server_profile.cache is not None
-            and server_profile.cache.remote_capacity > 0
-        ):
-            remote_cache = RemoteCacheTier(server_profile.cache)
-
-        pods: List[Pod] = []
-        ready_signal = Signal(f"{name}-ready")
-        aux_replicas = auxiliary.replicas if auxiliary is not None else 0
-        remaining = {"count": shards * replicas + aux_replicas}
-        for pod_index in range(shards * replicas):
-            shard = pod_index // replicas
-            self._pod_counter += 1
-            pod = Pod(
-                name=f"{name}-{self._pod_counter}",
-                instance_type=instance_type,
-                shard=shard,
-                # Round-robin spread: replica r of shard s lands in zone
-                # (s * replicas + r) % zones, so a shard's replicas occupy
-                # distinct zones whenever replicas <= zones.
-                zone=zone_name(pod_index % zones) if zones > 1 else "",
-            )
-            pods.append(pod)
-            self.simulator.spawn(
-                self._start_pod(
-                    pod,
-                    artifact_path,
-                    service_profile,
-                    batching,
-                    server_profile,
-                    self._model_for_shard(model, sharding, shard),
-                    jit_warmup_s,
-                    ready_signal,
-                    remaining,
-                    load_bytes,
-                    telemetry,
-                    remote_cache,
-                    index_build_s,
-                    tenants=tenants,
-                    tenant_fair_depth=tenant_fair_depth,
-                )
-            )
-        for aux_index in range(aux_replicas):
-            self._pod_counter += 1
-            pod = Pod(
-                name=f"{name}-cpu-{self._pod_counter}",
+        cache = server_profile.cache if server_profile is not None else None
+        remote_cache = (
+            RemoteCacheTier(cache)
+            if cache is not None and cache.remote_capacity > 0
+            else None
+        )
+        template = PodTemplate(
+            instance_type=instance_type,
+            artifact_path=artifact_path,
+            service_profile=service_profile,
+            batching=batching,
+            server_profile=server_profile,
+            model=model,
+            load_bytes=load_bytes,
+            jit_warmup_s=jit_warmup_s,
+            index_build_s=index_build_s,
+            sharding=sharding,
+            remote_cache=remote_cache,
+            tenants=tenants,
+            tenant_fair_depth=tenant_fair_depth,
+            telemetry=telemetry,
+        )
+        pods = [
+            self._new_pod(name, template, shard=index // replicas)
+            for index in range(shards * replicas)
+        ]
+        if auxiliary is not None:
+            # Same artifact and model, the pool's CPU service profile.
+            cpu_template = replace(
+                template,
                 instance_type=auxiliary.instance_type,
-                zone=zone_name((shards * replicas + aux_index) % zones)
-                if zones > 1
-                else "",
+                service_profile=auxiliary.service_profile,
             )
-            pods.append(pod)
-            self.simulator.spawn(
-                self._start_pod(
-                    pod,
-                    artifact_path,
-                    auxiliary.service_profile,
-                    batching,
-                    server_profile,
-                    model,
-                    jit_warmup_s,
-                    ready_signal,
-                    remaining,
-                    load_bytes,
-                    telemetry,
-                    remote_cache,
-                    index_build_s,
-                )
-            )
+            pods += [
+                self._new_pod(f"{name}-cpu", cpu_template)
+                for _ in range(auxiliary.replicas)
+            ]
+        if zones > 1:
+            # Round-robin spread: replica r of shard s lands in zone
+            # (s * replicas + r) % zones, so a shard's replicas occupy
+            # distinct zones whenever replicas <= zones. The CPU pool
+            # continues the rotation.
+            for index, pod in enumerate(pods):
+                pod.zone = zone_name(index % zones)
+
+        ready_signal = Signal(f"{name}-ready")
+        remaining = [len(pods)]
+
+        def pod_ready() -> None:
+            remaining[0] -= 1
+            if remaining[0] == 0:
+                ready_signal.fire()
+
+        for pod in pods:
+            self.simulator.spawn(self._start_pod(pod, pod_ready))
         deployment = ModelDeployment(
             name=name,
             pods=pods,
             ready_signal=ready_signal,
-            restart_context={
-                "artifact_path": artifact_path,
-                "service_profile": service_profile,
-                "batching": batching,
-                "server_profile": server_profile,
-                "model": model,
-                "jit_warmup_s": jit_warmup_s,
-                "load_bytes": load_bytes,
-                "telemetry": telemetry,
-                "remote_cache": remote_cache,
-                "sharding": sharding,
-                "index_build_s": index_build_s,
-                "auxiliary": auxiliary,
-                "zones": zones,
-                "tenants": tenants,
-                "tenant_fair_depth": tenant_fair_depth,
-            },
-            sharding=sharding if shards > 1 else None,
+            template=template,
+            sharding=sharding,
             zones=zones,
         )
         self.deployments.append(deployment)
         return deployment
 
-    @staticmethod
-    def _clone_tenants(
-        tenants: Optional[Sequence["TenantServing"]],
-    ) -> Optional[Dict[str, "TenantServing"]]:
-        """Per-pod copies of the deployment's tenant table (or None)."""
-        if tenants is None:
-            return None
-        return {serving.name: serving.clone() for serving in tenants}
-
-    @staticmethod
-    def _model_for_shard(model, sharding: Optional[ShardingConfig], shard: int):
-        """Scope a real model object to one pod's catalog slice."""
-        if model is None or sharding is None or not sharding.enabled:
-            return model
-        return ShardScorer(model, shard, sharding.shards)
+    def _new_pod(
+        self, prefix: str, template: PodTemplate, shard: int = 0, zone: str = ""
+    ) -> Pod:
+        self._pod_counter += 1
+        return Pod(
+            name=f"{prefix}-{self._pod_counter}",
+            instance_type=template.instance_type,
+            shard=shard,
+            zone=zone,
+            template=template,
+        )
 
     # -- failure injection -------------------------------------------------------
 
@@ -455,7 +450,7 @@ class Cluster:
             if pod.server is not None:
                 pod.server.crash()
             if restart_after is not None:
-                self.simulator.spawn(self._restart_pod(deployment, pod, restart_after))
+                self.simulator.spawn(self._restart_pod(pod, restart_after))
 
         self.simulator.call_at(at_time, crash)
 
@@ -465,9 +460,6 @@ class Cluster:
         Used by the autoscaler; the new pod joins the ClusterIP rotation
         once its readiness probe flips.
         """
-        context = deployment.restart_context
-        instance_type = deployment.pods[0].instance_type
-        self._pod_counter += 1
         # On a sharded deployment the new replica reinforces whichever
         # shard currently has the fewest pods (lowest index on ties).
         shard_counts = {shard: 0 for shard in range(deployment.shards)}
@@ -484,34 +476,9 @@ class Cluster:
                 if existing.shard == shard and existing.zone in zone_counts:
                     zone_counts[existing.zone] += 1
             zone = min(zone_counts, key=lambda z: (zone_counts[z], z))
-        pod = Pod(
-            name=f"{deployment.name}-{self._pod_counter}",
-            instance_type=instance_type,
-            shard=shard,
-            zone=zone,
-        )
+        pod = self._new_pod(deployment.name, deployment.template, shard, zone)
         deployment.pods.append(pod)
-        self.simulator.spawn(
-            self._start_pod(
-                pod,
-                context["artifact_path"],
-                context["service_profile"],
-                context["batching"],
-                context["server_profile"],
-                self._model_for_shard(
-                    context["model"], context.get("sharding"), shard
-                ),
-                context["jit_warmup_s"],
-                Signal(f"{pod.name}-ready"),
-                {"count": 1},
-                context["load_bytes"],
-                context.get("telemetry"),
-                context.get("remote_cache"),
-                context.get("index_build_s", 0.0),
-                tenants=context.get("tenants"),
-                tenant_fair_depth=context.get("tenant_fair_depth", 64),
-            )
-        )
+        self.simulator.spawn(self._start_pod(pod))
         return pod
 
     @staticmethod
@@ -525,105 +492,62 @@ class Cluster:
         victim.ready = False
         return victim
 
-    def _restart_pod(self, deployment: ModelDeployment, pod: Pod, delay: float):
-        context = deployment.restart_context
+    def _start_pod(self, pod: Pod, on_ready: Optional[Callable[[], None]] = None):
+        # Autopilot provisions a node for the pod.
+        yield float(self.rng.uniform(self.PROVISION_MIN_S, self.PROVISION_MAX_S))
+        yield from self._boot(pod, pod.name)
+        if on_ready is not None:
+            on_ready()
+
+    def _restart_pod(self, pod: Pod, delay: float):
         yield delay
-        # Boot + artifact download + model load (node already provisioned).
-        _payload, transfer_s = self.bucket.download(context["artifact_path"])
-        load_bytes = context["load_bytes"]
+        # The node is still there: no re-provisioning.
+        yield from self._boot(pod, f"{pod.name}-restarted")
+
+    def _boot(self, pod: Pod, server_name: str):
+        """Container boot, artifact download and model load; then the
+        server comes up and the readiness probe flips."""
+        template = pod.template
+        # The virtual catalog means the stored artifact can be smaller than
+        # the logical model; ``load_bytes`` charges the logical footprint.
+        # ANN index construction happens here too: the artifact ships
+        # embeddings, each pod trains its own inverted file.
+        _payload, transfer_s = self.bucket.download(template.artifact_path)
+        load_bytes = template.load_bytes
         if load_bytes is None:
-            load_bytes = self.bucket.blob_size(context["artifact_path"])
+            load_bytes = self.bucket.blob_size(template.artifact_path)
         yield (
             self.POD_BOOT_S
             + transfer_s
             + load_bytes / self.MODEL_LOAD_BANDWIDTH
-            + context["jit_warmup_s"]
-            + context.get("index_build_s", 0.0)
+            + template.jit_warmup_s
+            + template.index_build_s
         )
+        # Re-read: the tuner may have swapped the template while booting.
+        template = pod.template
+        model = template.model
+        if model is not None and template.sharding is not None:
+            model = ShardScorer(model, pod.shard, template.sharding.shards)
         pod.server = EtudeInferenceServer(
             simulator=self.simulator,
-            device=pod.instance_type.device,
-            service_profile=self._profile_for_pod(context, pod),
+            device=template.instance_type.device,
+            service_profile=template.service_profile,
             rng=np.random.default_rng(self.rng.integers(2**63)),
-            profile=context["server_profile"],
-            batching=context["batching"],
-            model=self._model_for_shard(
-                context["model"], context.get("sharding"), pod.shard
-            ),
-            name=f"{pod.name}-restarted",
-            telemetry=context.get("telemetry"),
-            artifact_version=context["artifact_path"],
-            remote_cache=context.get("remote_cache"),
-            tenants=self._clone_tenants(context.get("tenants")),
-            tenant_fair_depth=context.get("tenant_fair_depth", 64),
-        )
-        pod.ready = True
-        pod.ready_at = self.simulator.now
-
-    @staticmethod
-    def _profile_for_pod(context: dict, pod: Pod) -> ServiceTimeProfile:
-        """The service profile matching a pod's device class.
-
-        On a heterogeneous deployment the CPU pool runs the auxiliary
-        fleet's (CPU-calibrated) profile; everything else uses the primary
-        one.
-        """
-        auxiliary = context.get("auxiliary")
-        if auxiliary is not None and not pod.instance_type.device.is_accelerator:
-            return auxiliary.service_profile
-        return context["service_profile"]
-
-    def _start_pod(
-        self,
-        pod: Pod,
-        artifact_path: str,
-        service_profile: ServiceTimeProfile,
-        batching: BatchingConfig,
-        server_profile: Optional[ActixProfile],
-        model,
-        jit_warmup_s: float,
-        ready_signal: Signal,
-        remaining: dict,
-        load_bytes: Optional[float] = None,
-        telemetry: Optional["Telemetry"] = None,
-        remote_cache: Optional[RemoteCacheTier] = None,
-        index_build_s: float = 0.0,
-        tenants: Optional[Sequence["TenantServing"]] = None,
-        tenant_fair_depth: int = 64,
-    ):
-        # 1. Autopilot provisions a node for the pod.
-        yield float(self.rng.uniform(self.PROVISION_MIN_S, self.PROVISION_MAX_S))
-        # 2. Container boot + artifact download + model load. The virtual
-        # catalog means the stored artifact can be smaller than the logical
-        # model; ``load_bytes`` charges the logical footprint. ANN index
-        # construction (``index_build_s``) happens here too: the artifact
-        # ships embeddings, each pod trains its own inverted file.
-        _payload, transfer_s = self.bucket.download(artifact_path)
-        effective_bytes = (
-            load_bytes if load_bytes is not None else self.bucket.blob_size(artifact_path)
-        )
-        load_s = effective_bytes / self.MODEL_LOAD_BANDWIDTH
-        yield self.POD_BOOT_S + transfer_s + load_s + jit_warmup_s + index_build_s
-        # 3. Server comes up; the readiness probe flips. Each pod owns
-        # fresh clones of the tenant serving states: rollouts bump
-        # versions pod by pod, so the state cannot be shared.
-        pod.server = EtudeInferenceServer(
-            simulator=self.simulator,
-            device=pod.instance_type.device,
-            service_profile=service_profile,
-            rng=np.random.default_rng(self.rng.integers(2**63)),
-            profile=server_profile,
-            batching=batching,
+            profile=template.server_profile,
+            batching=template.batching,
             model=model,
-            name=pod.name,
-            telemetry=telemetry,
-            artifact_version=artifact_path,
-            remote_cache=remote_cache,
-            tenants=self._clone_tenants(tenants),
-            tenant_fair_depth=tenant_fair_depth,
+            name=server_name,
+            telemetry=template.telemetry,
+            artifact_version=template.artifact_path,
+            remote_cache=template.remote_cache,
+            # Each pod owns fresh clones of the tenant serving states:
+            # rollouts bump versions pod by pod, so they cannot be shared.
+            tenants=(
+                None
+                if template.tenants is None
+                else {serving.name: serving.clone() for serving in template.tenants}
+            ),
+            tenant_fair_depth=template.tenant_fair_depth,
         )
         pod.ready = True
         pod.ready_at = self.simulator.now
-        remaining["count"] -= 1
-        if remaining["count"] == 0:
-            ready_signal.fire()

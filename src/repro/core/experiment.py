@@ -13,6 +13,7 @@ with the lowest and highest latencies."
 
 from __future__ import annotations
 
+import hashlib
 import json
 from dataclasses import asdict, replace
 from typing import TYPE_CHECKING, List, Optional
@@ -21,9 +22,19 @@ from repro.cluster.composition import check_composition
 from repro.cluster.kubernetes import AuxiliaryFleet, DeploymentError
 from repro.cluster.provisioning import Infrastructure, make_infra
 from repro.cluster.service import ClusterIPService
-from repro.core.features import active, enabled_features, spec_string
+from repro.core.features import active, enabled_features
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry, ServingAssets
+from repro.core.sections import (
+    LiveRun,
+    cache_section,
+    overload_section,
+    resilience_section,
+    retrieval_section,
+    sharding_section,
+    tenancy_section,
+)
 from repro.core.spec import ExperimentSpec
+from repro.core.specfile import spec_to_dict
 from repro.hardware.instances import instance_by_name
 from repro.loadgen.generator import LoadGenerator
 from repro.metrics.collector import MetricsCollector
@@ -127,25 +138,19 @@ class ExperimentRunner:
         if telemetry is not None:
             telemetry.bind(simulator)
 
-        # Overload protection and the result cache ride on the server
-        # profile; None when no feature is enabled so the default path
-        # stays bit-identical.
-        server_profile = None
-        profiled = (spec.admission, spec.fallback, spec.cache, retrieval)
-        if any(config is not None for config in profiled):
-            retrieval_descriptor = None
-            if retrieval is not None:
-                # Resolve the auto nlist so server telemetry reports the
-                # index actually built, not the unexpanded spec.
-                retrieval_descriptor = replace(
-                    retrieval, nlist=assets.model.index.logical_nlist
-                )
-            server_profile = ActixProfile(
-                admission=spec.admission,
-                fallback=spec.fallback,
-                cache=spec.cache,
-                retrieval=retrieval_descriptor,
-            )
+        # Overload protection, the result cache and the ANN descriptor
+        # ride on the server profile; all-None is the paper's server. The
+        # resolved nlist makes server telemetry report the index built.
+        server_profile = ActixProfile(
+            admission=spec.admission,
+            fallback=spec.fallback,
+            cache=spec.cache,
+            retrieval=(
+                replace(retrieval, nlist=assets.model.index.logical_nlist)
+                if retrieval is not None
+                else None
+            ),
+        )
 
         # Catalog sharding: each pod hosts one catalog slice, so the
         # deployed profile / footprint / score traffic shrink to the
@@ -235,21 +240,16 @@ class ExperimentRunner:
             # imports this module) for the standalone baseline.
             from repro.tenancy.placement import check_colocation
 
-            tenant_assets = {}
             tenant_servings = []
             for tenant in tenancy.tenants:
-                t_assets = tenant_assets.get(tenant.model)
-                if t_assets is None:
-                    t_assets = self.registry.assets(
-                        tenant.model,
-                        spec.catalog_size,
-                        instance.device,
-                        spec.execution,
-                        top_k=spec.top_k,
-                    )
-                    tenant_assets[tenant.model] = t_assets
-                    self._ensure_artifact(t_assets)
-                version = self._artifact_path(t_assets)
+                t_assets = self.registry.assets(
+                    tenant.model,
+                    spec.catalog_size,
+                    instance.device,
+                    spec.execution,
+                    top_k=spec.top_k,
+                )
+                version = self._ensure_artifact(t_assets)
                 tenant_servings.append(
                     TenantServing(
                         config=tenant,
@@ -292,9 +292,7 @@ class ExperimentRunner:
             auxiliary=auxiliary,
             zones=spec.zones,
             tenants=tenant_servings,
-            tenant_fair_depth=(
-                tenancy.fair_depth if tenancy is not None else 64
-            ),
+            tenant_fair_depth=tenancy.fair_depth if tenancy else 64,
         )
 
         workload = SyntheticWorkloadGenerator(
@@ -302,11 +300,10 @@ class ExperimentRunner:
             seed=int(streams.stream("workload").integers(2**31)),
         )
         collector = MetricsCollector()
-        state = {}
+        retrieval_facts = {}
         if retrieval is not None:
             index = assets.model.index
-            state["retrieval"] = {
-                "config": retrieval.spec_string(),
+            retrieval_facts = {
                 "kind": retrieval.kind,
                 "nlist": index.logical_nlist,
                 "nprobe": index.nprobe,
@@ -319,8 +316,10 @@ class ExperimentRunner:
                     spec.model, spec.catalog_size, retrieval, top_k=spec.top_k
                 ),
             }
+        live: Optional[LiveRun] = None
 
         def coordinator():
+            nonlocal live
             yield deployment.ready_signal
             dispatcher = None
             if scheduler is not None:
@@ -334,6 +333,7 @@ class ExperimentRunner:
                 dispatcher=dispatcher,
             )
             submit = service.submit
+            splitter = None
             if tenancy is not None:
                 # The splitter *is* the generator's submit function: the
                 # client stream is attributed to tenants without touching
@@ -342,7 +342,6 @@ class ExperimentRunner:
                     tenancy, service.submit, simulator, telemetry=telemetry
                 )
                 submit = splitter.submit
-                state["splitter"] = splitter
             generator = LoadGenerator(
                 simulator=simulator,
                 submit=submit,
@@ -358,22 +357,28 @@ class ExperimentRunner:
                 slo_deadline_s=spec.slo_deadline_s,
             )
             generator.start()
-            if tenancy is not None:
-                # Rollouts anchor at load start, like chaos events.
-                rollouts = []
-                for tenant in tenancy.tenants:
-                    if tenant.rollout_at_s is None:
-                        continue
-                    rollout = TenantRollout(
-                        simulator,
-                        deployment,
-                        tenant,
-                        start_at_s=simulator.now + tenant.rollout_at_s,
-                        telemetry=telemetry,
-                    )
-                    rollout.schedule()
-                    rollouts.append(rollout)
-                state["rollouts"] = rollouts
+            live = LiveRun(
+                generator=generator,
+                collector=collector,
+                service=service,
+                aggregator=service.aggregator,
+                splitter=splitter,
+                deployment=deployment,
+                started_at=simulator.now,
+            )
+            # Rollouts anchor at load start, like chaos events.
+            for tenant in tenancy.tenants if tenancy is not None else ():
+                if tenant.rollout_at_s is None:
+                    continue
+                rollout = TenantRollout(
+                    simulator,
+                    deployment,
+                    tenant,
+                    start_at_s=simulator.now + tenant.rollout_at_s,
+                    telemetry=telemetry,
+                )
+                rollout.schedule()
+                live.rollouts.append(rollout)
             if scheduler is not None:
                 tuner = None
                 if scheduler.tune:
@@ -387,43 +392,38 @@ class ExperimentRunner:
                     tuner = HillClimbTuner(
                         scheduler, batch_cap=fitted.max_batch_size
                     )
-                runtime = SchedulerRuntime(
+                live.scheduler = SchedulerRuntime(
                     simulator, scheduler, deployment, dispatcher, tuner,
                     telemetry=telemetry,
                 )
                 simulator.spawn(
-                    runtime.epoch_process(simulator.now + spec.duration_s)
+                    live.scheduler.epoch_process(simulator.now + spec.duration_s)
                 )
-                state["scheduler"] = runtime
             if spec.chaos is not None:
                 # Installed at load start so event times are relative to
                 # the ramp, not to however long provisioning took.
-                state["chaos"] = spec.chaos.install(
+                live.chaos = spec.chaos.install(
                     simulator,
                     cluster=cluster,
                     deployment=deployment,
                     service=service,
                     telemetry=telemetry,
                 )
-            state["generator"] = generator
-            state["service"] = service
-            state["deployment"] = deployment
-            state["started_at"] = simulator.now
 
         simulator.spawn(coordinator())
         simulator.run()
-
-        return self._build_result(spec, assets, collector, state, telemetry)
+        live.servers = [pod.server for pod in deployment.pods if pod.server is not None]
+        return self._build_result(spec, assets, live, retrieval_facts, telemetry)
 
     def _build_result(
         self,
         spec: ExperimentSpec,
         assets: ServingAssets,
-        collector: MetricsCollector,
-        state: dict,
+        live: LiveRun,
+        retrieval_facts: dict,
         telemetry: Optional["Telemetry"] = None,
     ) -> RunResult:
-        generator = state.get("generator")
+        collector = live.collector
         series = LatencySeries.from_collector(collector)
         execution = assets.execution_effective
         if assets.jit_fell_back:
@@ -450,120 +450,23 @@ class ExperimentRunner:
                 else None
             ),
             series=series if spec.collect_series else None,
-            backpressure_stalls=generator.backpressure_stalls if generator else 0,
+            backpressure_stalls=live.generator.backpressure_stalls,
+            resilience=resilience_section(live, spec.retry, spec.chaos),
+            overload=overload_section(
+                live, spec.slo_deadline_s, spec.admission, spec.routing,
+                spec.fallback,
+            ),
+            cache=cache_section(live, spec.cache),
+            sharding=sharding_section(
+                live, spec.sharding, replicas_per_shard=spec.hardware.replicas
+            ),
+            scheduler=live.scheduler.summary() if live.scheduler else None,
+            retrieval=retrieval_section(live, spec.retrieval, **retrieval_facts),
+            availability=(
+                self._availability_section(spec, live) if spec.zones > 1 else None
+            ),
+            tenancy=tenancy_section(live, spec.duration_s),
         )
-        # Current pod servers only: a restarted pod starts fresh counters,
-        # so pre-crash tallies are not included in the sections below.
-        deployment = state.get("deployment")
-        servers = [
-            pod.server
-            for pod in (deployment.pods if deployment is not None else ())
-            if pod.server is not None
-        ]
-        if spec.retry is not None or spec.chaos is not None:
-            chaos = state.get("chaos")
-            result.resilience = {
-                "retry_policy": spec_string(spec.retry),
-                "retries": generator.retries if generator else 0,
-                "hedges": generator.hedges if generator else 0,
-                "retry_successes": (
-                    generator.retry_successes if generator else 0
-                ),
-                "retry_exhausted": (
-                    generator.retry_exhausted if generator else 0
-                ),
-                "chaos_schedule": spec_string(spec.chaos),
-                "chaos_events": chaos.fired if chaos is not None else [],
-            }
-        overload = (spec.slo_deadline_s, spec.admission, spec.routing, spec.fallback)
-        if any(value is not None for value in overload):
-            service = state.get("service")
-            result.overload = {
-                "slo_deadline_s": spec.slo_deadline_s,
-                "admission": spec_string(spec.admission),
-                "routing": spec_string(spec.routing),
-                "fallback": spec_string(spec.fallback),
-                "shed_deadline": sum(s.shed_deadline for s in servers),
-                "shed_codel": sum(s.shed_codel for s in servers),
-                "shed_queue_full": sum(s.shed_queue_full for s in servers),
-                "degraded_served": sum(s.degraded_served for s in servers),
-                "degraded_fraction": collector.degraded_fraction,
-                "ejections": service.ejections if service is not None else 0,
-                "probe_recoveries": (
-                    service.probe_recoveries if service is not None else 0
-                ),
-                "p90_full_ms": collector.percentile_full_ms(90),
-                "p90_degraded_ms": collector.percentile_degraded_ms(90),
-            }
-        if active(spec.cache) is not None:
-            tallies = {
-                "hits_local": 0, "hits_remote": 0, "misses": 0,
-                "fills": 0, "coalesced": 0, "evictions": 0, "expirations": 0,
-            }
-            remote_entries = None
-            for server in servers:
-                if server.cache is None:
-                    continue
-                for key, value in server.cache.stats().items():
-                    tallies[key] += value
-                if server.cache.remote is not None:
-                    remote_entries = len(server.cache.remote)
-            lookups = tallies["hits_local"] + tallies["hits_remote"] + tallies["misses"]
-            result.cache = {
-                "config": spec.cache.spec_string(),
-                **tallies,
-                "hit_rate": (
-                    (tallies["hits_local"] + tallies["hits_remote"]) / lookups
-                    if lookups
-                    else 0.0
-                ),
-                "hit_fraction": collector.cache_hit_fraction,
-                "remote_entries": remote_entries,
-                "p90_hit_ms": collector.percentile_hit_ms(90),
-                "p90_miss_ms": collector.percentile_miss_ms(90),
-            }
-        if active(spec.sharding) is not None:
-            service = state.get("service")
-            aggregator = service.aggregator if service is not None else None
-            result.sharding = {
-                "config": spec.sharding.spec_string(),
-                "replicas_per_shard": spec.hardware.replicas,
-                **(
-                    aggregator.stats()
-                    if aggregator is not None
-                    else {"shards": spec.sharding.shards}
-                ),
-            }
-        if active(spec.scheduler) is not None:
-            runtime = state.get("scheduler")
-            if runtime is not None:
-                result.scheduler = runtime.summary()
-        if active(spec.retrieval) is not None:
-            info = dict(state.get("retrieval") or {})
-            info["ann_queries"] = sum(
-                getattr(s, "ann_queries", 0) for s in servers
-            )
-            info["ann_probed_lists"] = sum(
-                getattr(s, "ann_probed_lists", 0) for s in servers
-            )
-            result.retrieval = info
-        if spec.zones > 1:
-            result.availability = self._availability_section(spec, state)
-        if spec.tenants is not None:
-            splitter = state.get("splitter")
-            if splitter is not None:
-                shed_by_tenant: dict = {}
-                for server in servers:
-                    if server.tenants is None:
-                        continue
-                    for name, count in server.shed_by_tenant.items():
-                        shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
-                rollouts = [r.summary() for r in state.get("rollouts", [])]
-                result.tenancy = splitter.summary(
-                    duration_s=spec.duration_s,
-                    shed_by_tenant=shed_by_tenant,
-                    rollouts=rollouts or None,
-                )
         if telemetry is not None:
             from repro.obs.export import stage_breakdown
 
@@ -574,7 +477,7 @@ class ExperimentRunner:
         return result
 
     @staticmethod
-    def _availability_section(spec: ExperimentSpec, state: dict) -> dict:
+    def _availability_section(spec: ExperimentSpec, live: LiveRun) -> dict:
         """The failure-domain report for a ``zones > 1`` run.
 
         Time-to-recovery per injected zone outage: the interval from the
@@ -582,18 +485,14 @@ class ExperimentRunner:
         flipped back. ``None`` (infinite) when any victim was still dark
         at run end — e.g. ``restart=none`` chaos.
         """
-        deployment = state.get("deployment")
-        service = state.get("service")
-        chaos = state.get("chaos")
         pods_per_zone: dict = {}
         by_name = {}
-        if deployment is not None:
-            for pod in deployment.pods:
-                pods_per_zone[pod.zone] = pods_per_zone.get(pod.zone, 0) + 1
-                by_name[pod.name] = pod
+        for pod in live.deployment.pods:
+            pods_per_zone[pod.zone] = pods_per_zone.get(pod.zone, 0) + 1
+            by_name[pod.name] = pod
         outages = []
         overall_ttr: Optional[float] = None
-        for event in chaos.zone_outages if chaos is not None else []:
+        for event in live.chaos.zone_outages if live.chaos is not None else []:
             recovered_at: Optional[float] = event["at_s"]
             for name in event["pods"]:
                 pod = by_name.get(name)
@@ -620,21 +519,26 @@ class ExperimentRunner:
         return {
             "zones": spec.zones,
             "pods_per_zone": pods_per_zone,
-            "home_zone": service.home_zone if service is not None else "",
-            "cross_zone_legs": (
-                service.cross_zone_legs if service is not None else 0
-            ),
+            "home_zone": live.service.home_zone,
+            "cross_zone_legs": live.service.cross_zone_legs,
             "zone_outages": outages,
             "time_to_recovery_s": overall_ttr,
-            "load_started_at_s": state.get("started_at"),
+            "load_started_at_s": live.started_at,
         }
 
     def _persist_result(self, spec: ExperimentSpec, result: RunResult) -> None:
-        """Results go to the bucket on termination, as in the paper."""
+        """Results go to the bucket on termination, as in the paper.
+
+        The path ends in a digest of the whole spec: runs that differ only
+        in seed or features keep their own records, and re-running one
+        spec replaces its record.
+        """
+        document = json.dumps(spec_to_dict(spec), sort_keys=True)
+        digest = hashlib.sha256(document.encode("utf-8")).hexdigest()[:12]
         path = (
             f"results/{spec.model}-c{spec.catalog_size}"
             f"-{spec.hardware.instance_type}-x{spec.hardware.replicas}"
-            f"-r{spec.target_rps}-{spec.execution}.json"
+            f"-r{spec.target_rps}-{spec.execution}-{digest}.json"
         )
         payload = dict(asdict(result))
         payload.pop("series", None)

@@ -86,15 +86,10 @@ class Feature:
 
 
 def _render_resilience(resilience: Dict) -> str:
-    """Retry/hedge/chaos tallies; run results also count retry outcomes."""
-    outcomes = (
-        f" ({resilience['retry_successes']} recovered, "
-        f"{resilience['retry_exhausted']} exhausted)"
-        if "retry_successes" in resilience
-        else ""
-    )
     return (
-        f"  resilience: {resilience['retries']} retries{outcomes}, "
+        f"  resilience: {resilience['retries']} retries "
+        f"({resilience['retry_successes']} recovered, "
+        f"{resilience['retry_exhausted']} exhausted), "
         f"{resilience['hedges']} hedges, "
         f"{len(resilience['chaos_events'])} chaos events"
     )
@@ -133,6 +128,9 @@ def _render_overload(overload: Dict) -> str:
 
 
 def _render_cache(cache: Dict) -> str:
+    """Lookup hit rate (sharded runs look up once per shard) and the
+    share of the client's 200s the cache answered."""
+    lookups = cache["hits_local"] + cache["hits_remote"] + cache["misses"]
     p90_hit = cache.get("p90_hit_ms")
     p90_miss = cache.get("p90_miss_ms")
     split = ""
@@ -140,9 +138,10 @@ def _render_cache(cache: Dict) -> str:
         split = f", p90 hit/miss={p90_hit:.2f}/{p90_miss:.2f} ms"
     return (
         f"  cache[{cache['config']}]: "
-        f"{cache['hit_rate'] * 100:.1f}% hit rate "
+        f"{cache['hit_rate'] * 100:.1f}% of {lookups} lookups hit "
         f"(local={cache['hits_local']} remote={cache['hits_remote']} "
         f"miss={cache['misses']}), "
+        f"{cache['hit_fraction'] * 100:.1f}% of 200s from cache, "
         f"{cache['coalesced']} coalesced, "
         f"{cache['evictions']} evicted"
         + split

@@ -18,8 +18,17 @@ from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
 from repro.cluster.chaos import ChaosSchedule
 from repro.cluster.composition import check_composition
-from repro.core.features import active, spec_string
+from repro.core.features import active
 from repro.core.registry import GLOBAL_REGISTRY, AssetRegistry
+from repro.core.sections import (
+    LiveRun,
+    cache_section,
+    overload_section,
+    resilience_section,
+    retrieval_section,
+    sharding_section,
+    tenancy_section,
+)
 from repro.hardware.device import DeviceModel
 from repro.loadgen.generator import LoadGenerator
 from repro.loadgen.retry import RetryPolicy
@@ -76,23 +85,13 @@ class InfraTestResult:
     retries: int = 0
     hedges: int = 0
     chaos_events: List[Dict] = field(default_factory=list)
-    #: Overload-protection tallies, present when the run had an SLO
-    #: deadline, admission control or a fallback tier configured.
+    #: The feature sections, shaped as ``RunResult``'s (built by
+    #: ``repro.core.sections``); None when the feature is off.
     overload: Optional[Dict] = None
-    #: Result-cache tallies, present when the run had a cache with
-    #: non-zero capacity configured.
     cache: Optional[Dict] = None
-    #: Catalog-sharding tallies (fan-outs, partial responses, coverage),
-    #: present when the run sharded the catalog (S > 1).
     sharding: Optional[Dict] = None
-    #: ANN retrieval tallies (queries, probed lists), present when the run
-    #: served with an enabled IVF retrieval mode.
     retrieval: Optional[Dict] = None
-    #: Per-tenant routing/shedding tallies, present when the run split
-    #: traffic across a tenant fleet (``--tenants``).
     tenancy: Optional[Dict] = None
-    #: Retry/hedge/chaos tallies, present when the run had a retry policy
-    #: or a chaos schedule configured.
     resilience: Optional[Dict] = None
 
     @property
@@ -172,35 +171,50 @@ def run_infra_test(
             rng=streams.stream("torchserve"),
             vcpus=2.0,
         )
-        servers = [server]
+        # No fault hooks and none of the Actix server's tallies.
+        servers = []
         submit_target = server.submit
     else:
-        server_profile = None
-        if any(c is not None for c in (admission, fallback, cache, retrieval)):
-            server_profile = ActixProfile(
-                admission=admission,
-                fallback=fallback,
-                cache=cache,
-                retrieval=retrieval,
-            )
-        if sharding is not None:
-            # One bare server per shard behind a scatter-gather front;
-            # the aggregator charges the fan-out network legs and the
-            # merge cost (the figure-2 single-server path has no legs).
-            servers = [
-                EtudeInferenceServer(
-                    simulator=simulator,
-                    device=INFRA_TEST_DEVICE,
+        tenant_servings = None
+        if tenants is not None:
+            # Every tenant serves the no-op profile: the fleet exercises
+            # routing, deadlines and fair shedding only.
+            tenant_servings = {
+                t.name: TenantServing(
+                    config=t,
                     service_profile=assets.profile,
-                    rng=streams.stream(f"actix-shard{index}"),
-                    profile=server_profile,
-                    batching=BatchingConfig(max_batch_size=1, max_delay_s=0.0),
-                    telemetry=telemetry,
-                    name=f"etude-shard{index}",
+                    artifact_version=f"infra-{t.model}",
+                    canary_version=(
+                        f"infra-{t.model}+next" if t.canary_fraction > 0 else None
+                    ),
                 )
-                for index in range(sharding.shards)
-            ]
-            server = servers[0]
+                for t in tenants.tenants
+            }
+        # One bare server, or one per shard behind a scatter-gather front.
+        servers = [
+            EtudeInferenceServer(
+                simulator=simulator,
+                device=INFRA_TEST_DEVICE,
+                service_profile=assets.profile,
+                rng=streams.stream(f"actix-shard{index}" if sharding else "actix"),
+                profile=ActixProfile(
+                    admission=admission,
+                    fallback=fallback,
+                    cache=cache,
+                    retrieval=retrieval,
+                ),
+                batching=BatchingConfig(max_batch_size=1, max_delay_s=0.0),
+                telemetry=telemetry,
+                name=f"etude-shard{index}" if sharding else "etude-server",
+                tenants=tenant_servings,
+                tenant_fair_depth=tenants.fair_depth if tenants else 64,
+            )
+            for index in range(sharding.shards if sharding else 1)
+        ]
+        submit_target = servers[0].submit
+        if sharding is not None:
+            # The aggregator charges the fan-out network legs and the
+            # merge cost (the figure-2 single-server path has no legs).
             hop = NetworkHop()
             net_rng = streams.stream("shard-net")
             aggregator = ScatterGatherAggregator(
@@ -212,39 +226,6 @@ def run_infra_test(
                 telemetry=telemetry,
             )
             submit_target = aggregator.scatter
-        else:
-            tenant_servings = None
-            if tenants is not None:
-                # Every tenant serves the no-op profile: the fleet
-                # exercises routing, deadlines and fair shedding only.
-                tenant_servings = {
-                    t.name: TenantServing(
-                        config=t,
-                        service_profile=assets.profile,
-                        artifact_version=f"infra-{t.model}",
-                        canary_version=(
-                            f"infra-{t.model}+next"
-                            if t.canary_fraction > 0
-                            else None
-                        ),
-                    )
-                    for t in tenants.tenants
-                }
-            server = EtudeInferenceServer(
-                simulator=simulator,
-                device=INFRA_TEST_DEVICE,
-                service_profile=assets.profile,
-                rng=streams.stream("actix"),
-                profile=server_profile,
-                batching=BatchingConfig(max_batch_size=1, max_delay_s=0.0),
-                telemetry=telemetry,
-                tenants=tenant_servings,
-                tenant_fair_depth=(
-                    tenants.fair_depth if tenants is not None else 64
-                ),
-            )
-            servers = [server]
-            submit_target = server.submit
 
     splitter = None
     if tenants is not None:
@@ -273,84 +254,17 @@ def run_infra_test(
         slo_deadline_s=slo_deadline_s,
     )
     generator.start()
-    controller = None
+    live = LiveRun(
+        generator=generator,
+        collector=collector,
+        servers=servers,
+        aggregator=aggregator,
+        splitter=splitter,
+    )
     if chaos is not None:
-        controller = chaos.install(
-            simulator, servers=servers, telemetry=telemetry
-        )
+        live.chaos = chaos.install(simulator, servers=servers, telemetry=telemetry)
     simulator.run()
 
-    overload = None
-    if slo_deadline_s is not None or admission is not None or fallback is not None:
-        overload = {
-            "slo_deadline_s": slo_deadline_s,
-            "admission": spec_string(admission),
-            "fallback": spec_string(fallback),
-            "shed_deadline": sum(getattr(s, "shed_deadline", 0) for s in servers),
-            "shed_codel": sum(getattr(s, "shed_codel", 0) for s in servers),
-            "shed_queue_full": sum(
-                getattr(s, "shed_queue_full", 0) for s in servers
-            ),
-            "degraded_served": sum(
-                getattr(s, "degraded_served", 0) for s in servers
-            ),
-            "degraded_fraction": collector.degraded_fraction,
-            "p90_full_ms": collector.percentile_full_ms(90),
-            "p90_degraded_ms": collector.percentile_degraded_ms(90),
-        }
-
-    cache_section = None
-    server_caches = [
-        c for c in (getattr(s, "cache", None) for s in servers) if c is not None
-    ]
-    if cache is not None and cache.enabled and server_caches:
-        stats: Dict[str, int] = {}
-        for server_cache in server_caches:
-            for key, value in server_cache.stats().items():
-                stats[key] = stats.get(key, 0) + value
-        hits = stats.get("hits_local", 0) + stats.get("hits_remote", 0)
-        lookups = hits + stats.get("misses", 0)
-        cache_section = {
-            "config": cache.spec_string(),
-            **stats,
-            "hit_rate": hits / lookups if lookups else 0.0,
-            "hit_fraction": collector.cache_hit_fraction,
-            "p90_hit_ms": collector.percentile_hit_ms(90),
-            "p90_miss_ms": collector.percentile_miss_ms(90),
-        }
-
-    sharding_section = None
-    if aggregator is not None:
-        sharding_section = {
-            "config": sharding.spec_string(),
-            **aggregator.stats(),
-            "per_shard_completed": [s.completed for s in servers],
-        }
-
-    retrieval_section = None
-    if retrieval is not None:
-        retrieval_section = {
-            "config": retrieval.spec_string(),
-            "nprobe": retrieval.nprobe,
-            "ann_queries": sum(
-                getattr(s, "ann_queries", 0) for s in servers
-            ),
-            "ann_probed_lists": sum(
-                getattr(s, "ann_probed_lists", 0) for s in servers
-            ),
-        }
-
-    tenancy_section = None
-    if splitter is not None:
-        shed_by_tenant: Dict[str, int] = {}
-        for s in servers:
-            for name, count in (getattr(s, "shed_by_tenant", None) or {}).items():
-                shed_by_tenant[name] = shed_by_tenant.get(name, 0) + count
-        tenancy_section = splitter.summary(
-            duration_s=duration_s, shed_by_tenant=shed_by_tenant
-        )
-
-    chaos_events = controller.fired if controller is not None else []
     return InfraTestResult(
         server=server_kind,
         target_rps=target_rps,
@@ -364,19 +278,15 @@ def run_infra_test(
         series=LatencySeries.from_collector(collector),
         retries=generator.retries,
         hedges=generator.hedges,
-        chaos_events=chaos_events,
-        resilience=(
-            {
-                "retries": generator.retries,
-                "hedges": generator.hedges,
-                "chaos_events": chaos_events,
-            }
-            if retry_policy is not None or chaos is not None
-            else None
+        chaos_events=live.chaos.fired if live.chaos is not None else [],
+        resilience=resilience_section(live, retry_policy, chaos),
+        overload=overload_section(live, slo_deadline_s, admission, None, fallback),
+        cache=cache_section(live, cache),
+        sharding=sharding_section(
+            live, sharding, per_shard_completed=[s.completed for s in servers]
         ),
-        overload=overload,
-        cache=cache_section,
-        sharding=sharding_section,
-        retrieval=retrieval_section,
-        tenancy=tenancy_section,
+        retrieval=retrieval_section(
+            live, retrieval, nprobe=retrieval.nprobe if retrieval else None
+        ),
+        tenancy=tenancy_section(live, duration_s),
     )

@@ -5,13 +5,14 @@ that wakes every ``epoch_s`` virtual seconds, snapshots the dispatcher's
 per-route latency digests and the GPU fleet's mean flush size, lets the
 :class:`~repro.scheduler.tuner.HillClimbTuner` move (at most) one knob,
 and pushes the resulting :class:`~repro.serving.batching.BatchingConfig`
-onto every GPU pod — including the deployment's restart context, so a
-chaos-restarted pod comes back with the *tuned* knobs rather than the
+onto every GPU pod — including the pod templates, so a chaos-restarted
+or scaled-up pod comes back with the *tuned* knobs rather than the
 initial ones.
 """
 
 from __future__ import annotations
 
+from dataclasses import replace
 from typing import Optional, TYPE_CHECKING
 
 from repro.scheduler.config import SchedulerConfig
@@ -100,8 +101,10 @@ class SchedulerRuntime:
         batching = self.tuner.batching()
         for server in self._gpu_servers():
             server.batching = batching
-        # Chaos-restarted pods must come back with the tuned knobs.
-        self.deployment.restart_context["batching"] = batching
+        # Chaos-restarted and scaled-up pods must come back with the tuned
+        # knobs, so the templates they boot from change too.
+        for holder in (self.deployment, *self.deployment.pods):
+            holder.template = replace(holder.template, batching=batching)
         self.dispatcher.short_session = self.tuner.short_session
         self.dispatcher.linger_s = self.tuner.linger_s
 

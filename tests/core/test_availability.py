@@ -11,6 +11,7 @@ from repro.core.drill import run_failure_drill
 from repro.core.spec import Scenario
 from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.hardware import CPU_E2
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -26,13 +27,6 @@ class TestSingleZoneDeterminism:
     """zones=1 (the default) must leave every run untouched — the
     zone machinery draws no RNG and schedules no events when off."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
     def test_explicit_single_zone_is_bit_identical(self, instance):
         base = spec(hardware=HardwareSpec(instance, 2))
@@ -40,7 +34,7 @@ class TestSingleZoneDeterminism:
         single = ExperimentRunner(seed=33).run(spec(
             hardware=HardwareSpec(instance, 2), zones=1,
         ))
-        assert self._fingerprint(single) == self._fingerprint(baseline)
+        assert run_fingerprint(single) == run_fingerprint(baseline)
         assert baseline.availability is None
         assert single.availability is None
 

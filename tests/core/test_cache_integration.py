@@ -17,6 +17,7 @@ from repro.serving.request import HTTP_OK, RecommendationRequest
 from repro.simulation import Simulator
 from repro.tensor.ops import CostRecord, CostTrace
 from repro.workload.statistics import WorkloadStatistics
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -72,13 +73,6 @@ class TestDisabledCacheDeterminism:
     cache must be bit-identical — latencies and recommendations — on both
     the CPU and the GPU path (same contract as admission/fallback)."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
     def test_zero_capacity_cache_is_bit_identical(self, instance):
         base = spec(hardware=HardwareSpec(instance, 1), duration_s=15.0)
@@ -89,7 +83,7 @@ class TestDisabledCacheDeterminism:
                 cache=CacheConfig(capacity=0, remote_capacity=0),
             )
         )
-        assert self._fingerprint(disabled) == self._fingerprint(baseline)
+        assert run_fingerprint(disabled) == run_fingerprint(baseline)
         assert disabled.cache is None  # disabled cache reports nothing
 
 

@@ -9,6 +9,7 @@ from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.infra_test import run_infra_test
 from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.serving import AdmissionPolicy, FallbackConfig
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -69,13 +70,6 @@ class TestDisabledOverloadDeterminism:
     """Configured-but-idle overload protection must not perturb a run —
     the bit-identical contract, on both the CPU and the GPU path."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
     def test_idle_protection_is_bit_identical(self, instance):
         base = spec(hardware=HardwareSpec(instance, 1), duration_s=15.0)
@@ -91,7 +85,7 @@ class TestDisabledOverloadDeterminism:
                 fallback=FallbackConfig(),
             )
         )
-        assert self._fingerprint(protected) == self._fingerprint(baseline)
+        assert run_fingerprint(protected) == run_fingerprint(baseline)
         section = protected.overload
         assert section is not None
         assert section["shed_deadline"] == 0

@@ -9,6 +9,7 @@ from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.cluster import ChaosSchedule, PodCrash
 from repro.loadgen import RetryPolicy
 from repro.obs import Telemetry
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -125,13 +126,6 @@ class TestInfraTestResilience:
 class TestDisabledResilienceDeterminism:
     """Configured-but-idle resilience must not perturb a healthy run."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     def test_unused_policy_and_empty_schedule_are_bit_identical(self):
         baseline = ExperimentRunner(seed=33).run(spec())
         with_retry = ExperimentRunner(seed=33).run(
@@ -140,8 +134,8 @@ class TestDisabledResilienceDeterminism:
         with_empty_chaos = ExperimentRunner(seed=33).run(
             spec(chaos=ChaosSchedule())
         )
-        assert self._fingerprint(with_retry) == self._fingerprint(baseline)
-        assert self._fingerprint(with_empty_chaos) == self._fingerprint(baseline)
+        assert run_fingerprint(with_retry) == run_fingerprint(baseline)
+        assert run_fingerprint(with_empty_chaos) == run_fingerprint(baseline)
         # The idle machinery reported itself but changed nothing.
         assert with_retry.resilience["retries"] == 0
         assert with_empty_chaos.resilience["chaos_events"] == []

@@ -1,5 +1,7 @@
 """Result archive over the bucket."""
 
+from dataclasses import replace
+
 import pytest
 
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
@@ -50,3 +52,23 @@ class TestResultStore:
         assert lines[0].startswith("model,instance_type,")
         assert len(lines) == 4
         assert any("stamp" in line for line in lines[1:])
+
+
+class TestPersistedRecords:
+    def test_each_distinct_spec_keeps_its_own_record(self):
+        runner = ExperimentRunner(seed=808)
+        plain = ExperimentSpec(
+            model="gru4rec", catalog_size=2000, target_rps=20,
+            hardware=HardwareSpec("CPU", 1), duration_s=5.0,
+            execution="eager",
+        )
+        store = ResultStore(runner.infra.bucket)
+        runner.run(plain)
+        runner.run(replace(plain, sharding="2"))
+        runner.run(replace(plain, seed=99))
+        # Seeds plain.seed (already stored), +1 and +2.
+        runner.run_repeated(plain, 3)
+        assert len(store) == 5
+        runner.run(plain)
+        assert len(store) == 5
+        assert sum(r.sharding is not None for r in store.iter_results()) == 1

@@ -24,6 +24,7 @@ from repro.sharding import (
     merge_topk,
 )
 from repro.simulation import Simulator
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -71,13 +72,6 @@ class TestDisabledShardingDeterminism:
     baseline — latencies and per-second series — on both the CPU and the
     GPU path (same contract as admission/fallback/cache)."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
     def test_single_shard_is_bit_identical(self, instance):
         base = spec(hardware=HardwareSpec(instance, 1))
@@ -85,7 +79,7 @@ class TestDisabledShardingDeterminism:
         single = ExperimentRunner(seed=33).run(
             spec(hardware=HardwareSpec(instance, 1), sharding=1)
         )
-        assert self._fingerprint(single) == self._fingerprint(baseline)
+        assert run_fingerprint(single) == run_fingerprint(baseline)
         assert single.sharding is None  # S=1 reports nothing
 
 

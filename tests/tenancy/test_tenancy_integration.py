@@ -9,6 +9,7 @@ from repro.cluster.kubernetes import DeploymentError
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.specfile import spec_from_dict, spec_to_dict
 from repro.tenancy import TenancyConfig
+from tests.fingerprints import run_fingerprint
 
 
 def spec(**overrides):
@@ -50,13 +51,6 @@ class TestDisabledDeterminism:
     fleet draws no extra RNG either, so even it must leave the latency
     fingerprint untouched on both device paths."""
 
-    def _fingerprint(self, result):
-        return (
-            result.total_requests, result.ok_requests, result.error_requests,
-            result.p50_ms, result.p90_ms, result.p99_ms,
-            tuple(result.series.p90_ms), tuple(result.series.ok),
-        )
-
     @pytest.mark.parametrize("instance", ["CPU", "GPU-T4"])
     def test_single_tenant_fleet_is_latency_identical(self, instance):
         baseline = ExperimentRunner(seed=33).run(
@@ -65,7 +59,7 @@ class TestDisabledDeterminism:
         solo = ExperimentRunner(seed=33).run(
             spec(hardware=HardwareSpec(instance, 1), tenants="solo=stamp:1")
         )
-        assert self._fingerprint(solo) == self._fingerprint(baseline)
+        assert run_fingerprint(solo) == run_fingerprint(baseline)
         assert baseline.tenancy is None
         assert solo.tenancy is not None  # the section reports, only
 
