@@ -36,62 +36,72 @@ docs-check:
 	$(PYTHON) tools/docs_check.py
 
 .PHONY: test
-test: docs-check bench-smoke overload-smoke cache-smoke shard-smoke retrieval-smoke scheduler-smoke failover-smoke tenant-smoke parallel-smoke
+test: docs-check bench-smoke
 	$(PYTHON) -m pytest tests/
 
-# Tiny deterministic overload run: deadline admission + fallback tier must
-# turn a 3x-capacity overload into degraded 200s (no 503s, p99 in SLO).
+# Each feature's acceptance checks, by pytest node id (all of them also
+# run in `make test`).
+
+# Deadline admission + fallback tier turn a 3x-capacity overload into
+# degraded 200s: no 503s, p99 within the SLO.
 .PHONY: overload-smoke
 overload-smoke:
-	$(PYTHON) tools/overload_smoke.py
+	$(PYTHON) -m pytest tests/core/test_overload.py::TestCollapseVersusDegrade
 
-# Tiny deterministic cache run against a real model: the cache-on run must
-# hit, and every response must match the cache-off run's recommendations.
+# Cache-on answers equal cache-off ones request for request against a
+# real model; the cache hits, and hits are faster.
 .PHONY: cache-smoke
 cache-smoke:
-	$(PYTHON) tools/cache_smoke.py
+	$(PYTHON) -m pytest tests/core/test_cache_integration.py::TestReplayAgainstCacheOff
 
-# Tiny deterministic sharding run against a real model: S=4 scatter-gather
-# must match the unsharded server request for request, and a shard crash
-# must degrade catalog coverage instead of flooding 5xxs.
+# S=4 scatter-gather equals the unsharded server request for request; a
+# shard crash degrades catalog coverage instead of flooding 5xxs.
 .PHONY: shard-smoke
 shard-smoke:
-	$(PYTHON) tools/shard_smoke.py
+	$(PYTHON) -m pytest \
+	  tests/sharding/test_sharding_integration.py::TestShardScorer::test_scatter_gather_replay_equals_the_unsharded_server \
+	  tests/sharding/test_sharding_integration.py::TestShardedRuns::test_shard_crash_degrades_coverage_not_availability \
+	  tests/sharding/test_sharding_integration.py::TestAggregatorSemantics::test_failed_shard_yields_partial_200
 
-# Tiny deterministic ANN run against a real model: IVF probing half its
-# lists must reach recall@20 >= 0.9 vs the exact scan, and a disabled
-# retrieval run must stay byte-identical to the baseline.
+# IVF probing half its lists reaches recall@20 >= 0.9; a served IVF run
+# answers every request; `exact` retrieval is byte-identical to none.
 .PHONY: retrieval-smoke
 retrieval-smoke:
-	$(PYTHON) tools/retrieval_smoke.py
+	$(PYTHON) -m pytest \
+	  tests/models/test_ann.py::TestAnnModel::test_half_probe_recall_on_a_small_catalog \
+	  tests/serving/test_retrieval.py::TestServedRuns::test_retrieval_section_contents \
+	  tests/serving/test_retrieval.py::TestDisabledBitIdentity
 
-# Deterministic heterogeneous-scheduler checks: split-fleet exactness,
-# mixed-vs-homogeneous tail under load, disabled-mode bit-identity.
+# Split-fleet exactness, mixed-vs-homogeneous tail under load,
+# disabled-mode bit-identity.
 .PHONY: scheduler-smoke
 scheduler-smoke:
-	$(PYTHON) tools/scheduler_smoke.py
+	$(PYTHON) -m pytest tests/serving/test_scheduler.py::TestSplitFleetReplay \
+	  tests/serving/test_scheduler.py::TestDisabledBitIdentity
 
-# Deterministic failure drill: a zone-replicated sharded deployment must
-# ride out a full zone outage (>=99% 200s, coverage 1.0, finite TTR) and
-# the unreplicated control must be called out as a collapse.
+# A zone-replicated sharded deployment rides out a full zone outage
+# (>=99% 200s, coverage 1.0, finite TTR); the unreplicated control is
+# called out as a collapse.
 .PHONY: failover-smoke
 failover-smoke:
-	$(PYTHON) tools/failover_smoke.py
+	$(PYTHON) -m pytest tests/core/test_availability.py::TestFailureDrill
 
-# Deterministic tenant-fleet checks: co-located answers bit-identical to
-# each tenant served alone, shadow traffic never client-visible, canary
-# rollout with zero 5xx, and a 4x tenant storm that cannot starve the
-# co-tenant's SLO.
+# Co-located answers equal each tenant served alone, shadow traffic is
+# never client-visible, a canary rollout has zero 5xx, and a 4x tenant
+# storm cannot starve the co-tenant's SLO.
 .PHONY: tenant-smoke
 tenant-smoke:
-	$(PYTHON) tools/tenant_smoke.py
+	$(PYTHON) -m pytest tests/tenancy/test_tenancy_integration.py::TestColocatedAnswers \
+	  tests/tenancy/test_tenancy_integration.py::TestFleetRun::test_shadow_scored_never_returned \
+	  tests/tenancy/test_tenancy_integration.py::TestRollingUpdate::test_canary_rollout_promotes_the_canary_version \
+	  tests/tenancy/test_fairness.py::TestStormEndToEnd
 
-# Cross-backend determinism smoke: one tiny planner grid evaluated on
-# serial, mp(2) and mp(4) must produce byte-identical plans and report
-# tables; on >= 4-core hosts mp(4) must also beat the serial wall clock.
+# serial, mp(2) and mp(4) plan a grid byte-identically (plans and report
+# tables); on >= 4-core hosts mp(4) also beats the serial wall clock.
 .PHONY: parallel-smoke
 parallel-smoke:
-	$(PYTHON) tools/parallel_smoke.py
+	$(PYTHON) -m pytest tests/exec/test_backend_determinism.py::test_fixed_grid_with_infeasibles_all_backends \
+	  tests/exec/test_backend_determinism.py::test_mp4_beats_serial_wall_clock
 
 # Line coverage over the unit suite (see README "Development"). Needs
 # pytest-cov; when it is absent the target explains and skips instead of

@@ -350,6 +350,12 @@ def _emit_telemetry(telemetry, out, trace_out: Optional[str]) -> None:
         out.write(f"wrote {spans} spans to {trace_out}\n")
 
 
+def _or_na(value: Optional[float], spec: str, unit: str = "") -> str:
+    """``value`` formatted with ``spec`` and ``unit``; ``n/a`` when it was
+    never measured (a percentile of a run with no 200s, say)."""
+    return "n/a" if value is None else f"{value:{spec}}{unit}"
+
+
 def _cmd_models(_args, out) -> int:
     out.write("benchmarked models (paper Section II):\n")
     for name in BENCHMARK_MODELS:
@@ -382,7 +388,7 @@ def _cmd_infra(args, out) -> int:
     out.write(
         f"{args.server}: {result.ok}/{result.total} ok, "
         f"{result.errors} errors ({result.error_rate * 100:.1f}%), "
-        f"p90={result.p90_ms:.2f} ms\n"
+        f"p90={_or_na(result.p90_ms, '.2f', ' ms')}\n"
     )
     for line in report_lines(result):
         out.write(line + "\n")
@@ -510,9 +516,9 @@ def _cmd_run(args, out) -> int:
             f"@ {spec.target_rps} req/s [{result.execution_mode}]\n"
             f"  ok={result.ok_requests} errors={result.error_requests} "
             f"achieved={result.achieved_rps:.0f} req/s\n"
-            f"  p50/p90/p99={result.p50_ms:.1f}/{result.p90_ms:.1f}/"
-            f"{result.p99_ms:.1f} ms, p90@target="
-            f"{'n/a' if p90_target is None else f'{p90_target:.1f} ms'}\n"
+            f"  p50/p90/p99={_or_na(result.p50_ms, '.1f')}/"
+            f"{_or_na(result.p90_ms, '.1f')}/{_or_na(result.p99_ms, '.1f')} ms, "
+            f"p90@target={_or_na(p90_target, '.1f', ' ms')}\n"
             f"  meets p90<={slo.p90_latency_ms:.0f}ms SLO: {meets}\n"
         )
         for line in report_lines(result):
@@ -583,7 +589,7 @@ def _cmd_drill(args, out) -> int:
     ttr = report.time_to_recovery_s
     out.write(
         f"  min coverage={report.min_coverage * 100:.1f}%, "
-        f"TTR={'n/a' if ttr is None else f'{ttr:.1f} s'}\n"
+        f"TTR={_or_na(ttr, '.1f', ' s')}\n"
         f"  survived: {report.survived}  recovered: {report.recovered}\n"
     )
     if report.result.availability is not None:

@@ -8,8 +8,8 @@ how far p90 moved, what fraction of requests kept getting 200s, the
 worst catalog coverage served, and the time-to-recovery once the
 kubelets brought the zone back.
 
-Used by the ``repro drill`` CLI command, ``tools/failover_smoke.py``
-(the ``make test`` gate), and the planner's ``--survive-zones``
+Used by the ``repro drill`` CLI command, its acceptance test
+(``make failover-smoke``), and the planner's ``--survive-zones``
 verification runs. See ``docs/availability.md``.
 """
 

@@ -11,8 +11,8 @@ inference server analogously."
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Dict, Optional
 
 from repro.ann.config import RetrievalConfig
 from repro.cache.tier import CacheConfig
@@ -82,9 +82,6 @@ class InfraTestResult:
     p90_ms: Optional[float]
     p99_ms: Optional[float]
     series: LatencySeries
-    retries: int = 0
-    hedges: int = 0
-    chaos_events: List[Dict] = field(default_factory=list)
     #: The feature sections, shaped as ``RunResult``'s (built by
     #: ``repro.core.sections``); None when the feature is off.
     overload: Optional[Dict] = None
@@ -276,9 +273,6 @@ def run_infra_test(
         p90_ms=collector.percentile_ms(90) if collector.ok else None,
         p99_ms=collector.percentile_ms(99) if collector.ok else None,
         series=LatencySeries.from_collector(collector),
-        retries=generator.retries,
-        hedges=generator.hedges,
-        chaos_events=live.chaos.fired if live.chaos is not None else [],
         resilience=resilience_section(live, retry_policy, chaos),
         overload=overload_section(live, slo_deadline_s, admission, None, fallback),
         cache=cache_section(live, cache),

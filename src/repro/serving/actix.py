@@ -496,30 +496,10 @@ class EtudeInferenceServer:
                 at=now + http_s
             )
             self._cache_hit_counters[tier].inc()
-
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            completed = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=completed,
-                    latency_s=completed - request.sent_at,
-                    inference_s=0.0,
-                    batch_size=1,
-                    items=items,
-                    scores=scores,
-                    cache_hit=True,
-                )
-            )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(http_s, deliver)
+        self.simulator.call_in(
+            http_s, self._deliver_fast, request, respond, items, scores,
+            0.0, True, False,
+        )
 
     def _serve_follower(
         self,
@@ -538,31 +518,10 @@ class EtudeInferenceServer:
                 "cache_hit", request.request_id, at=now, tier="coalesced"
             )
             span.finish(at=now + http_s)
-
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            completed = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=completed,
-                    latency_s=completed - request.sent_at,
-                    inference_s=0.0,
-                    queue_s=parked_s,
-                    batch_size=1,
-                    items=items,
-                    scores=scores,
-                    cache_hit=True,
-                )
-            )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(http_s, deliver)
+        self.simulator.call_in(
+            http_s, self._deliver_fast, request, respond, items, scores,
+            parked_s, True, False,
+        )
 
     def _resolve_flight_ok(self, request: RecommendationRequest, payload) -> None:
         """Leader inference finished: fill the tiers, answer followers.
@@ -689,30 +648,45 @@ class EtudeInferenceServer:
                 "fallback_served", request.request_id, at=now, reason=reason
             ).finish(at=now + budget)
         items = tier.recommend(request.session_items)
+        self.simulator.call_in(
+            budget, self._deliver_fast, request, respond, items, None,
+            queue_s, False, True,
+        )
 
-        def deliver() -> None:
-            if not self.healthy:
-                self._fail(request, respond)
-                return
-            now = self.simulator.now
-            respond(
-                RecommendationResponse(
-                    request_id=request.request_id,
-                    status=HTTP_OK,
-                    completed_at=now,
-                    latency_s=now - request.sent_at,
-                    inference_s=0.0,
-                    queue_s=queue_s,
-                    batch_size=1,
-                    items=items,
-                    degraded=True,
-                )
+    def _deliver_fast(
+        self,
+        request: RecommendationRequest,
+        respond: ResponseCallback,
+        items,
+        scores,
+        queue_s: float,
+        cache_hit: bool,
+        degraded: bool,
+    ) -> None:
+        """Deliver a 200 that ran no inference: a cache hit, a coalesced
+        follower or a fallback answer. A crash in between fails it."""
+        if not self.healthy:
+            self._fail(request, respond)
+            return
+        now = self.simulator.now
+        respond(
+            RecommendationResponse(
+                request_id=request.request_id,
+                status=HTTP_OK,
+                completed_at=now,
+                latency_s=now - request.sent_at,
+                inference_s=0.0,
+                queue_s=queue_s,
+                batch_size=1,
+                items=items,
+                scores=scores,
+                degraded=degraded,
+                cache_hit=cache_hit,
             )
-            self.completed += 1
-            if self.telemetry is not None:
-                self._completed_counter.inc()
-
-        self.simulator.call_in(budget, deliver)
+        )
+        self.completed += 1
+        if self.telemetry is not None:
+            self._completed_counter.inc()
 
     def _next_viable(
         self,

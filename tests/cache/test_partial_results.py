@@ -18,17 +18,16 @@ import pytest
 
 from repro.cache.policy import MISSING
 from repro.cache.tier import CacheConfig, RecommendationCache, RemoteCacheTier
-from repro.hardware import CPU_E2, LatencyModel
+from repro.hardware import CPU_E2
 from repro.serving import ActixProfile, EtudeInferenceServer
 from repro.serving.actix import cacheable_result, shard_scoped_version
 from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
-    RecommendationRequest,
     RecommendationResponse,
 )
 from repro.simulation import Simulator
-from repro.tensor.ops import CostRecord, CostTrace
+from tests.replay import make_profile, make_request
 
 
 class FakeShardScorer:
@@ -48,21 +47,6 @@ class FakeShardScorer:
 
     def recommend(self, session_items):
         return self.recommend_with_scores(session_items)[0]
-
-
-def make_profile():
-    trace = CostTrace()
-    trace.append(CostRecord(op="linear", param_bytes=1e6, write_bytes=1e5))
-    return LatencyModel(CPU_E2.device).profile(trace)
-
-
-def make_request(request_id, now=0.0):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.array([1, 2, 3], dtype=np.int64),
-        sent_at=now,
-    )
 
 
 def make_shard_server(sim, shard_index, shards, remote, config, seed=0):

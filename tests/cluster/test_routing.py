@@ -11,11 +11,11 @@ from repro.hardware import CPU_E2, LatencyModel
 from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
-    RecommendationRequest,
     RecommendationResponse,
 )
 from repro.simulation import Signal, Simulator
 from repro.tensor.ops import CostRecord, CostTrace
+from tests.replay import make_request
 
 
 def profile_with_latency(seconds):
@@ -36,15 +36,6 @@ def deploy(infra, replicas, service_seconds=0.004, name="t"):
         service_profile=profile_with_latency(service_seconds),
         resident_bytes=1e6,
         score_bytes_per_item=4e3,
-    )
-
-
-def make_request(request_id, now):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.array([1, 2, 3], dtype=np.int64),
-        sent_at=now,
     )
 
 

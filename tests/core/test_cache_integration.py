@@ -9,15 +9,15 @@ import pytest
 from repro.cache import CacheConfig
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.specfile import spec_from_dict, spec_to_dict
-from repro.hardware import CPU_E2, GPU_T4, LatencyModel
+from repro.hardware import CPU_E2, GPU_T4
 from repro.models import ModelConfig, create_model
 from repro.serving import BatchingConfig, EtudeInferenceServer
 from repro.serving.profiles import ActixProfile
-from repro.serving.request import HTTP_OK, RecommendationRequest
+from repro.serving.request import HTTP_OK
 from repro.simulation import Simulator
-from repro.tensor.ops import CostRecord, CostTrace
 from repro.workload.statistics import WorkloadStatistics
 from tests.fingerprints import run_fingerprint
+from tests.replay import click_prefixes, make_profile, make_request, replay
 
 
 def spec(**overrides):
@@ -27,23 +27,6 @@ def spec(**overrides):
     )
     base.update(overrides)
     return ExperimentSpec(**base)
-
-
-def make_profile(device, fixed_bytes=1e6, item_bytes=1e5):
-    trace = CostTrace()
-    trace.append(
-        CostRecord(op="linear", param_bytes=fixed_bytes, write_bytes=item_bytes)
-    )
-    return LatencyModel(device).profile(trace)
-
-
-def make_request(request_id, session_items, now=0.0):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.asarray(session_items, dtype=np.int64),
-        sent_at=now,
-    )
 
 
 class TestSpecWiring:
@@ -110,7 +93,7 @@ class TestSingleflightCoalescing:
         prefixes = ([1, 2, 3], [4, 5, 6], [7, 8, 9])
         responses = []
         for index in range(12):  # 4 copies of each of the 3 prefixes
-            request = make_request(index, prefixes[index % 3])
+            request = make_request(index, items=prefixes[index % 3])
             server.submit(request, responses.append)
         sim.run()
         assert len(responses) == 12
@@ -131,13 +114,13 @@ class TestSingleflightCoalescing:
         model = create_model("stamp", ModelConfig.for_catalog(500, top_k=5))
         sim = Simulator()
         server = EtudeInferenceServer(
-            sim, CPU_E2.device, make_profile(CPU_E2.device),
+            sim, CPU_E2.device, make_profile(),
             np.random.default_rng(0), model=model,
             profile=ActixProfile(cache=CacheConfig(capacity=64, window=4)),
         )
         responses = []
         for index in range(5):
-            server.submit(make_request(index, [1, 2, 3]), responses.append)
+            server.submit(make_request(index), responses.append)
         sim.run()
         assert len(responses) == 5
         expected = model.recommend([1, 2, 3])
@@ -151,7 +134,7 @@ class TestHitCorrectness:
 
     def make_server(self, sim, model, version="v1"):
         return EtudeInferenceServer(
-            sim, CPU_E2.device, make_profile(CPU_E2.device),
+            sim, CPU_E2.device, make_profile(),
             np.random.default_rng(0), model=model,
             profile=ActixProfile(cache=CacheConfig(capacity=64, window=8)),
             artifact_version=version,
@@ -164,9 +147,9 @@ class TestHitCorrectness:
         responses = []
 
         def driver():
-            server.submit(make_request(0, [1, 2, 3], sim.now), responses.append)
+            server.submit(make_request(0, sim.now), responses.append)
             yield 1.0  # first answer computed and cached by now
-            server.submit(make_request(1, [1, 2, 3], sim.now), responses.append)
+            server.submit(make_request(1, sim.now), responses.append)
 
         sim.spawn(driver())
         sim.run()
@@ -186,9 +169,9 @@ class TestHitCorrectness:
         responses = []
 
         def driver():
-            server.submit(make_request(0, [9, 9, 1, 2], sim.now), responses.append)
+            server.submit(make_request(0, sim.now, [9, 9, 1, 2]), responses.append)
             yield 1.0
-            server.submit(make_request(1, [7, 7, 1, 2], sim.now), responses.append)
+            server.submit(make_request(1, sim.now, [7, 7, 1, 2]), responses.append)
 
         sim.spawn(driver())
         sim.run()
@@ -201,15 +184,62 @@ class TestHitCorrectness:
         responses = []
 
         def driver():
-            server.submit(make_request(0, [1, 2, 3], sim.now), responses.append)
+            server.submit(make_request(0, sim.now), responses.append)
             yield 1.0
             server.cache.set_version("models/v2.pt")  # redeploy
-            server.submit(make_request(1, [1, 2, 3], sim.now), responses.append)
+            server.submit(make_request(1, sim.now), responses.append)
 
         sim.spawn(driver())
         sim.run()
         assert not responses[1].cache_hit  # stale entry no longer reachable
         assert server.cache.misses == 2
+
+
+class TestReplayAgainstCacheOff:
+    """400 session prefixes replayed cache-off and cache-on against the
+    real model: every answer (hit, miss or follower) equals recomputing
+    it, and hits beat the cache-off latency of the same requests."""
+
+    CATALOG = 2_000
+    # window=80 covers max_session_length: every key is the model's whole
+    # input, so a hit is lossless (docs/caching.md, "Choosing the window").
+    CACHE = CacheConfig(capacity=1024, window=80, ttl_s=0.0)
+
+    def replay(self, cache):
+        sim = Simulator()
+        server = EtudeInferenceServer(
+            sim, CPU_E2.device, make_profile(), np.random.default_rng(29),
+            model=create_model(
+                "stamp", ModelConfig.for_catalog(self.CATALOG, top_k=5)
+            ),
+            profile=ActixProfile(cache=cache) if cache is not None else None,
+        )
+        prefixes = click_prefixes(self.CATALOG, 400, seed=29)
+        return server, replay(sim, server.submit, prefixes)
+
+    @pytest.fixture(scope="class")
+    def runs(self):
+        _, cache_off = self.replay(None)
+        server, cache_on = self.replay(self.CACHE)
+        return server, cache_off, cache_on
+
+    def test_answers_equal_the_cache_off_run(self, runs):
+        _, cache_off, cache_on = runs
+        assert len(cache_off) == len(cache_on) == 400
+        assert all(r.status == HTTP_OK for r in cache_on.values())
+        for request_id, response in cache_on.items():
+            np.testing.assert_array_equal(
+                response.items, cache_off[request_id].items
+            )
+
+    def test_hits_are_faster_than_recomputing(self, runs):
+        server, cache_off, cache_on = runs
+        assert server.cache.hit_rate() > 0.0
+        hits = [rid for rid, response in cache_on.items() if response.cache_hit]
+        assert hits
+        assert np.mean([cache_on[rid].latency_s for rid in hits]) < np.mean(
+            [cache_off[rid].latency_s for rid in hits]
+        )
 
 
 class TestMeasurableWin:

@@ -66,6 +66,16 @@ class TestRunCommand:
         assert code == 2
         assert "False" in output
 
+    def test_run_without_a_single_200_reports_na(self):
+        code, output = run_cli(
+            "run", "--model", "stamp", "--catalog", "10000", "--rps", "20",
+            "--duration", "10", "--execution", "eager",
+            "--chaos", "crash@0:restart=none",
+        )
+        assert code == 2
+        assert "  ok=0 " in output
+        assert "p50/p90/p99=n/a/n/a/n/a ms, p90@target=n/a" in output
+
 
 class TestInfraCommand:
     def test_actix_summary(self):
@@ -74,6 +84,14 @@ class TestInfraCommand:
         )
         assert code == 0
         assert "0 errors" in output
+
+    def test_run_without_a_single_200_reports_na(self):
+        code, output = run_cli(
+            "infra-test", "--server", "actix", "--rps", "50", "--duration", "5",
+            "--chaos", "crash@0:restart=none",
+        )
+        assert code == 0
+        assert "actix: 0/" in output and "p90=n/a\n" in output
 
 
 class TestWorkloadCommand:

@@ -108,8 +108,9 @@ class TestInfraTestResilience:
             retry_policy=RetryPolicy.parse("max=6,base=0.5,cap=4"),
             chaos=ChaosSchedule.parse("crash@10:restart=5"),
         )
-        assert [e["kind"] for e in result.chaos_events] == ["crash"]
-        assert result.retries > 0
+        resilience = result.resilience
+        assert [e["kind"] for e in resilience["chaos_events"]] == ["crash"]
+        assert resilience["retries"] > 0
         # Retries bridged the 5 s outage almost entirely.
         assert result.error_rate < 0.05
 

@@ -6,18 +6,24 @@ for any scenario grid, ``DeploymentPlanner.plan`` produces *bit-identical*
 measured number inside every RunResult, and infeasible-candidate messages
 in grid order — whatever the backend and worker count. Hypothesis drives
 random small grids through serial and mp(2); a fixed wider grid (with
-infeasible and skipped candidates in it) also checks mp(4).
+infeasible and skipped candidates in it) also checks mp(4), and the
+rendered report tables must match too. On hosts with 4+ cores, mp(4)
+must also beat serial on the wall clock.
 """
 
 import json
+import os
+import time
 from dataclasses import asdict
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core import DeploymentPlanner
 from repro.core.experiment import ExperimentRunner
 from repro.core.registry import AssetRegistry
+from repro.core.report import render_scenario_table
 from repro.core.spec import Scenario
 from repro.hardware.instances import instance_by_name
 from repro.scheduler import SchedulerConfig
@@ -56,14 +62,19 @@ def plan_payload(plans):
 
 
 def run_plan(backend, scenario, models, instance_names, seed, **planner_kwargs):
-    """One cold sweep: fresh runner + registry per call, nothing shared."""
+    """One cold sweep: fresh runner + registry per call, nothing shared.
+    Returns the canonical payload and the rendered report table."""
     planner = DeploymentPlanner(
         runner=ExperimentRunner(registry=AssetRegistry(), seed=seed),
         backend=backend,
         **planner_kwargs,
     )
     instances = [instance_by_name(name) for name in instance_names]
-    return plan_payload(planner.plan(scenario, models, instances=instances))
+    plans = planner.plan(scenario, models, instances=instances)
+    table = render_scenario_table(
+        {scenario.name: plans}, models, instance_names=list(instance_names)
+    )
+    return plan_payload(plans), table
 
 
 @settings(max_examples=3, deadline=None)
@@ -114,7 +125,27 @@ def test_fixed_grid_with_infeasibles_all_backends():
     assert payloads["mp:workers=4"] == payloads["serial"]
     # The grid really contained infeasible candidates — the equality
     # above must cover their messages and ordering, not just options.
-    decoded = json.loads(payloads["serial"])
+    decoded = json.loads(payloads["serial"][0])
     assert decoded["gru4rec"]["infeasible"], "expected infeasible candidates"
     messages = dict(decoded["gru4rec"]["infeasible"])
     assert any("accelerator" in message for message in messages.values())
+
+
+@pytest.mark.skipif(
+    (os.cpu_count() or 1) < 4,
+    reason="mp(4) cannot beat serial without 4 cores to spread over",
+)
+def test_mp4_beats_serial_wall_clock():
+    """A grid whose serial sweep takes whole seconds, so a 4-worker pool
+    amortizes its fork and trace cost."""
+    scenario = Scenario("wall", 50_000, 150)
+    kwargs = dict(duration_s=30.0, max_replicas=4, shard_counts=(1, 2))
+    wall_s = {}
+    for backend in ("serial", "mp:workers=4"):
+        started = time.perf_counter()
+        run_plan(
+            backend, scenario, ["gru4rec", "narm"], ["CPU", "GPU-T4"],
+            seed=1234, **kwargs,
+        )
+        wall_s[backend] = time.perf_counter() - started
+    assert wall_s["mp:workers=4"] < wall_s["serial"]

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.ann import AnnSessionRecModel, IVFFlatIndex, recall_at_k
+from repro.ann import AnnSessionRecModel, IVFFlatIndex, measure_recall, recall_at_k
 from repro.models import ModelConfig, create_model
 from repro.tensor import Tensor, cost_trace
 
@@ -169,6 +169,15 @@ class TestAnnModel:
             rng.integers(0, CONFIG.num_items, size=4).tolist() for _ in range(10)
         ]
         assert ann.recall_against_exact(sessions) > 0.6
+
+    def test_half_probe_recall_on_a_small_catalog(self):
+        """Probing half of 32 lists over a 2,000-item catalog keeps
+        recall@20 against the exact scan at 0.9 or above."""
+        small = create_model(
+            "gru4rec", ModelConfig.for_catalog(2_000, top_k=20, seed=23)
+        )
+        ann = AnnSessionRecModel(small, nlist=32, nprobe=16)
+        assert measure_recall(ann, num_sessions=48).recall >= 0.9
 
     def test_score_bytes_reflect_probing(self, model):
         ann = AnnSessionRecModel(model, nlist=64, nprobe=8)

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.hardware import CPU_E2, GPU_T4, LatencyModel
+from repro.hardware import CPU_E2, GPU_T4
 from repro.loadgen import (
     ConstantSchedule,
     DiurnalSchedule,
@@ -15,15 +15,7 @@ from repro.loadgen import (
 from repro.serving import BatchingConfig, EtudeInferenceServer
 from repro.serving.request import RecommendationRequest
 from repro.simulation import Simulator
-from repro.tensor.ops import CostRecord, CostTrace
-
-
-def make_profile(device, param_bytes, item_bytes):
-    trace = CostTrace()
-    trace.append(
-        CostRecord(op="linear", param_bytes=param_bytes, write_bytes=item_bytes)
-    )
-    return LatencyModel(device).profile(trace)
+from tests.replay import make_profile
 
 
 schedules = st.one_of(

@@ -3,29 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.hardware import CPU_E2, GPU_T4, LatencyModel
+from repro.hardware import CPU_E2, GPU_T4
 from repro.serving import BatchingConfig, EtudeInferenceServer
-from repro.serving.request import HTTP_OK, HTTP_SERVICE_UNAVAILABLE, RecommendationRequest
+from repro.serving.request import HTTP_OK, HTTP_SERVICE_UNAVAILABLE
 from repro.serving.profiles import ActixProfile
 from repro.simulation import Simulator
-from repro.tensor.ops import CostRecord, CostTrace
-
-
-def make_profile(device, fixed_bytes=1e6, item_bytes=1e5):
-    trace = CostTrace()
-    trace.append(
-        CostRecord(op="linear", param_bytes=fixed_bytes, write_bytes=item_bytes)
-    )
-    return LatencyModel(device).profile(trace)
-
-
-def make_request(request_id, now=0.0):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.array([1, 2, 3], dtype=np.int64),
-        sent_at=now,
-    )
+from tests.replay import make_profile, make_request
 
 
 def submit_n(sim, server, count, spacing=0.0):

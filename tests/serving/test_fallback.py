@@ -4,7 +4,7 @@ and shed-to-degraded conversion on the server."""
 import numpy as np
 import pytest
 
-from repro.hardware import CPU_E2, LatencyModel
+from repro.hardware import CPU_E2
 from repro.serving import (
     ActixProfile,
     AdmissionPolicy,
@@ -12,25 +12,11 @@ from repro.serving import (
     FallbackConfig,
     PopularityFallback,
 )
-from repro.serving.request import HTTP_OK, RecommendationRequest
+from repro.serving.request import HTTP_OK
 from repro.simulation import Simulator
-from repro.tensor.ops import CostRecord, CostTrace
+from tests.replay import make_profile, make_request
 
-
-def make_profile(device, fixed_bytes=45e6):
-    trace = CostTrace()
-    trace.append(CostRecord(op="linear", param_bytes=fixed_bytes, write_bytes=1e5))
-    return LatencyModel(device).profile(trace)
-
-
-def make_request(request_id, now=0.0, deadline_s=None):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.array([5, 9, 2], dtype=np.int64),
-        sent_at=now,
-        deadline_s=deadline_s,
-    )
+SESSION = (5, 9, 2)
 
 
 class TestFallbackConfig:
@@ -71,7 +57,7 @@ class TestDegradedServing:
         return EtudeInferenceServer(
             sim,
             CPU_E2.device,
-            make_profile(CPU_E2.device),  # ~10 ms per inference
+            make_profile(fixed_bytes=45e6),  # ~10 ms per inference
             np.random.default_rng(0),
             profile=ActixProfile(
                 admission=AdmissionPolicy(),
@@ -88,7 +74,9 @@ class TestDegradedServing:
         def sender():
             for index in range(40):
                 server.submit(
-                    make_request(index, sim.now, deadline_s=sim.now + 0.05),
+                    make_request(
+                        index, sim.now, SESSION, deadline_s=sim.now + 0.05
+                    ),
                     responses.append,
                 )
             if False:
@@ -117,7 +105,7 @@ class TestDegradedServing:
         server = EtudeInferenceServer(
             sim,
             CPU_E2.device,
-            make_profile(CPU_E2.device),
+            make_profile(fixed_bytes=45e6),
             np.random.default_rng(0),
             profile=ActixProfile(
                 # Shed 10 ms before the deadline, answer within 2 ms.
@@ -130,7 +118,9 @@ class TestDegradedServing:
         def sender():
             for index in range(40):
                 server.submit(
-                    make_request(index, sim.now, deadline_s=sim.now + 0.05),
+                    make_request(
+                        index, sim.now, SESSION, deadline_s=sim.now + 0.05
+                    ),
                     responses.append,
                 )
             if False:
@@ -151,7 +141,7 @@ class TestDegradedServing:
         server = EtudeInferenceServer(
             sim,
             CPU_E2.device,
-            make_profile(CPU_E2.device),
+            make_profile(fixed_bytes=45e6),
             np.random.default_rng(0),
             profile=ActixProfile(admission=AdmissionPolicy()),
         )
@@ -160,7 +150,9 @@ class TestDegradedServing:
         def sender():
             for index in range(40):
                 server.submit(
-                    make_request(index, sim.now, deadline_s=sim.now + 0.05),
+                    make_request(
+                        index, sim.now, SESSION, deadline_s=sim.now + 0.05
+                    ),
                     responses.append,
                 )
             if False:

@@ -107,6 +107,7 @@ class TestServedRuns:
         assert section is not None
         assert section["config"] == "ivf:nlist=32"
         assert section["kind"] == "ivf" and section["nlist"] == 32
+        assert result.error_requests == 0
         assert section["ann_queries"] == result.ok_requests > 0
         assert section["ann_probed_lists"] == section["ann_queries"] * 8
         assert 0.0 <= section["recall_at_k"] <= 1.0

@@ -11,8 +11,10 @@ from hypothesis import strategies as st
 
 from repro.cluster.kubernetes import AuxiliaryFleet, DeploymentError
 from repro.core import DeploymentPlanner, ExperimentRunner, ExperimentSpec, HardwareSpec
+from repro.core.registry import AssetRegistry
 from repro.core.spec import Scenario
 from repro.core.specfile import spec_from_dict, spec_to_dict
+from repro.hardware import CPU_E2, GPU_T4
 from repro.hardware.instances import instance_by_name
 from repro.scheduler import (
     EpochObservation,
@@ -22,7 +24,10 @@ from repro.scheduler import (
 )
 from repro.scheduler.dispatch import REASON_SHORT, REASON_TIGHT, ROUTE_CPU, ROUTE_GPU
 from repro.scheduler.tuner import LINGER_FLOOR_S, SHORT_SESSION_CAP
+from repro.serving import EtudeInferenceServer
 from repro.serving.request import RecommendationRequest
+from repro.simulation import Simulator
+from tests.replay import click_prefixes, replay
 
 CATALOG = 3_000
 DURATION_S = 10.0
@@ -255,6 +260,68 @@ class TestHeterogeneousRuns:
         # An unreachable 1 ms target forces the tuner off 1024/2ms.
         assert section["tuner"]["moves"] > 0
         assert section["tuner"]["linger_s"] < 0.002
+
+
+class TestSplitFleetReplay:
+    """The scheduler moves work between pod classes; it never changes an
+    answer, and under load the mixed fleet beats the homogeneous tail."""
+
+    CATALOG = 2_000
+    SEED = 23
+
+    def replay(self, heterogeneous):
+        registry = AssetRegistry()
+        model = registry.model("gru4rec", self.CATALOG)
+        sim = Simulator()
+
+        def server(instance, name):
+            return EtudeInferenceServer(
+                sim, instance.device,
+                registry.profile("gru4rec", self.CATALOG, instance.device, "jit"),
+                np.random.default_rng(self.SEED), model=model, name=name,
+            )
+
+        gpu, cpu = server(GPU_T4, "gpu-pod"), server(CPU_E2, "cpu-pod")
+        dispatcher = QueryDispatcher(SchedulerConfig())
+
+        def submit(request, respond):
+            route = dispatcher.route(
+                request, sim.now, has_cpu=heterogeneous, has_gpu=True
+            )
+            (cpu if route == ROUTE_CPU else gpu).submit(request, respond)
+
+        prefixes = click_prefixes(
+            self.CATALOG, 200, seed=self.SEED, alpha_clicks=1.35
+        )
+        return dispatcher, replay(sim, submit, prefixes)
+
+    def test_split_fleet_answers_equal_the_gpu_alone(self):
+        dispatcher, split = self.replay(heterogeneous=True)
+        _, gpu_only = self.replay(heterogeneous=False)
+        assert dispatcher.routed[ROUTE_CPU] and dispatcher.routed[ROUTE_GPU]
+        assert len(split) == len(gpu_only) == 200
+        for request_id, response in split.items():
+            np.testing.assert_array_equal(
+                response.items, gpu_only[request_id].items
+            )
+
+    def test_mixed_fleet_beats_the_homogeneous_tail(self):
+        def run(scheduler):
+            return ExperimentRunner(seed=self.SEED).run(
+                spec(
+                    catalog_size=self.CATALOG, target_rps=300,
+                    hardware=HardwareSpec("GPU-T4", 1), duration_s=15.0,
+                    scheduler=scheduler,
+                )
+            )
+
+        homogeneous = run(None)
+        mixed = run("cpu=1,target=2,tol=0.2,epoch=3")
+        assert mixed.error_requests == 0
+        assert mixed.ok_requests == homogeneous.ok_requests
+        assert mixed.p90_ms is not None and homogeneous.p90_ms is not None
+        assert mixed.p90_ms < homogeneous.p90_ms
+        assert mixed.scheduler["tuner"]["converged"]
 
 
 class TestDeploymentGuards:

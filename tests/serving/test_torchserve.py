@@ -4,18 +4,10 @@ import numpy as np
 
 from repro.core.infra_test import INFRA_TEST_DEVICE
 from repro.serving.profiles import TorchServeProfile
-from repro.serving.request import HTTP_OK, HTTP_SERVICE_UNAVAILABLE, RecommendationRequest
+from repro.serving.request import HTTP_OK, HTTP_SERVICE_UNAVAILABLE
 from repro.serving.torchserve import TorchServeServer
 from repro.simulation import Simulator
-
-
-def make_request(request_id, now=0.0):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.array([1], dtype=np.int64),
-        sent_at=now,
-    )
+from tests.replay import make_request
 
 
 def drive(server, sim, count, spacing):
@@ -23,7 +15,7 @@ def drive(server, sim, count, spacing):
 
     def sender():
         for index in range(count):
-            server.submit(make_request(index, sim.now), responses.append)
+            server.submit(make_request(index, sim.now, (1,)), responses.append)
             yield spacing
 
     sim.spawn(sender())

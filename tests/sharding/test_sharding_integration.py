@@ -9,7 +9,9 @@ import pytest
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.infra_test import run_infra_test
 from repro.core.specfile import spec_from_dict, spec_to_dict
+from repro.hardware import CPU_E2
 from repro.models import ModelConfig, create_model
+from repro.serving import EtudeInferenceServer
 from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
@@ -25,6 +27,7 @@ from repro.sharding import (
 )
 from repro.simulation import Simulator
 from tests.fingerprints import run_fingerprint
+from tests.replay import click_prefixes, make_profile, replay
 
 
 def spec(**overrides):
@@ -108,6 +111,43 @@ class TestShardScorer:
         vmis = create_model("vmisknn", ModelConfig.for_catalog(500, top_k=5))
         with pytest.raises(ValueError, match="fuses its scoring head"):
             ShardScorer(vmis, 0, 4)
+
+    def test_scatter_gather_replay_equals_the_unsharded_server(self):
+        """200 session prefixes replayed through S=4 shard-scoped servers
+        and through one unsharded server: the same answer every time."""
+        prefixes = click_prefixes(self.CATALOG, 200, seed=29, alpha_clicks=1.35)
+        sim = Simulator()
+        server = EtudeInferenceServer(
+            sim, CPU_E2.device, make_profile(), np.random.default_rng(29),
+            model=self.MODEL,
+        )
+        unsharded = replay(sim, server.submit, prefixes)
+
+        sim = Simulator()
+        shards = [
+            EtudeInferenceServer(
+                sim, CPU_E2.device, make_profile(),
+                np.random.default_rng(29 + index), model=scorer,
+                name=f"shard{index}",
+            )
+            for index, scorer in enumerate(build_shard_scorers(self.MODEL, 4))
+        ]
+        aggregator = ScatterGatherAggregator(
+            simulator=sim,
+            config=ShardingConfig(shards=4),
+            shard_submits=[shard.submit for shard in shards],
+            network_delay=lambda: 0.0005,
+            top_k=self.MODEL.top_k,
+        )
+        sharded = replay(sim, aggregator.scatter, prefixes)
+
+        assert len(sharded) == len(unsharded) == 200
+        assert all(r.status == HTTP_OK for r in sharded.values())
+        for request_id, response in sharded.items():
+            np.testing.assert_array_equal(
+                response.items, unsharded[request_id].items
+            )
+        assert aggregator.mean_coverage() == 1.0
 
 
 def _leg(request, items=None, scores=None, status=HTTP_OK, degraded=False):

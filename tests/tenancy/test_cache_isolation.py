@@ -11,6 +11,7 @@ from repro.cache import MISSING
 from repro.cache.tier import RecommendationCache, RemoteCacheTier
 from repro.tenancy import TenantConfig, TenantServing
 from repro.tenancy.fleet import ARM_CANARY, ARM_STABLE
+from tests.replay import make_profile
 
 
 PREFIX = np.asarray([11, 12, 13], dtype=np.int64)
@@ -102,16 +103,13 @@ class TestRolloutInvalidation:
         )
 
     def test_server_set_tenant_version_rescopes_cache_keys(self):
-        from repro.hardware import CPU_E2, LatencyModel
+        from repro.hardware import CPU_E2
         from repro.serving import EtudeInferenceServer
         from repro.serving.profiles import ActixProfile
         from repro.serving.request import RecommendationRequest
         from repro.simulation import Simulator
-        from repro.tensor.ops import CostRecord, CostTrace
 
-        trace = CostTrace()
-        trace.append(CostRecord(op="linear", param_bytes=1e6, write_bytes=1e5))
-        profile = LatencyModel(CPU_E2.device).profile(trace)
+        profile = make_profile()
         tenants = {"a": serving("a"), "b": serving("b")}
         for tenant in tenants.values():
             tenant.service_profile = profile
@@ -146,14 +144,11 @@ class TestRolloutInvalidation:
         assert after_b == before_b  # tenant b: untouched
 
     def test_unknown_tenant_version_bump_is_an_error(self):
-        from repro.hardware import CPU_E2, LatencyModel
+        from repro.hardware import CPU_E2
         from repro.serving import EtudeInferenceServer
         from repro.simulation import Simulator
-        from repro.tensor.ops import CostRecord, CostTrace
 
-        trace = CostTrace()
-        trace.append(CostRecord(op="linear", param_bytes=1e6, write_bytes=1e5))
-        profile = LatencyModel(CPU_E2.device).profile(trace)
+        profile = make_profile()
         server = EtudeInferenceServer(
             Simulator(), CPU_E2.device, profile, np.random.default_rng(0)
         )

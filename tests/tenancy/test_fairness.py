@@ -8,18 +8,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.infra_test import run_infra_test
-from repro.hardware import CPU_E2, LatencyModel
+from repro.hardware import CPU_E2
 from repro.serving import AdmissionPolicy, EtudeInferenceServer, FallbackConfig
 from repro.serving.request import RecommendationRequest
 from repro.simulation import Simulator
 from repro.tenancy import TenancyConfig, TenantConfig, TenantServing
-from repro.tensor.ops import CostRecord, CostTrace
-
-
-def make_profile():
-    trace = CostTrace()
-    trace.append(CostRecord(op="linear", param_bytes=1e6, write_bytes=1e5))
-    return LatencyModel(CPU_E2.device).profile(trace)
+from tests.replay import make_profile
 
 
 def make_server(weights, fair_depth=32, shadows=()):

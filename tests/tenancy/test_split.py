@@ -7,20 +7,11 @@ import pytest
 from repro.serving.request import (
     HTTP_OK,
     HTTP_SERVICE_UNAVAILABLE,
-    RecommendationRequest,
     RecommendationResponse,
 )
 from repro.simulation import Simulator
 from repro.tenancy import SHADOW_ID_BASE, TenancyConfig, TrafficSplitter
-
-
-def make_request(request_id, now=0.0):
-    return RecommendationRequest(
-        request_id=request_id,
-        session_id=request_id,
-        session_items=np.asarray([1, 2, 3], dtype=np.int64),
-        sent_at=now,
-    )
+from tests.replay import make_request
 
 
 class Backend:

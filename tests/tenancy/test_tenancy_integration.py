@@ -3,13 +3,20 @@ determinism contract, co-location budgets, non-composition guards,
 canary/shadow accounting in a full run, rolling version updates, and
 the observability surface."""
 
+import numpy as np
 import pytest
 
 from repro.cluster.kubernetes import DeploymentError
 from repro.core import ExperimentRunner, ExperimentSpec, HardwareSpec
 from repro.core.specfile import spec_from_dict, spec_to_dict
-from repro.tenancy import TenancyConfig
+from repro.hardware import CPU_E2
+from repro.models import ModelConfig, create_model
+from repro.serving import EtudeInferenceServer
+from repro.serving.request import HTTP_OK
+from repro.simulation import Simulator
+from repro.tenancy import TenancyConfig, TenantServing, TrafficSplitter
 from tests.fingerprints import run_fingerprint
+from tests.replay import click_prefixes, make_profile, replay
 
 
 def spec(**overrides):
@@ -101,6 +108,7 @@ class TestFleetRun:
         # Every mirrored request completed server-side; client-visible
         # totals exclude all of them.
         assert shadow["completed"] == shadow["mirrored"] - shadow["shed"]
+        assert shadow["shed"] == 0  # a light load scores every mirror
         assert fleet.total_requests == total_client
 
     def test_per_tenant_slos_are_checked(self, fleet):
@@ -137,10 +145,66 @@ class TestRollingUpdate:
         )
         (rollout,) = result.tenancy["rollouts"]
         assert rollout["completed"] is True
+        assert rollout["pods_updated"] == 2
         versions = {event["version"] for event in rollout["events"]}
         assert len(versions) == 1
         assert next(iter(versions)).endswith("+next")  # the canary artifact
+        assert result.tenancy["tenants"]["a"]["canary_requests"] > 0
         assert result.error_requests == 0
+
+
+class TestColocatedAnswers:
+    """Two tenants with different models on one server: each request gets
+    exactly the answer its tenant's model gives when served alone."""
+
+    CATALOG = 2_000
+    SEED = 31
+    MODELS = {"a": "stamp", "b": "narm"}
+
+    def model(self, kind):
+        return create_model(kind, ModelConfig.for_catalog(self.CATALOG, top_k=5))
+
+    def test_colocated_answers_equal_each_tenant_served_alone(self):
+        prefixes = click_prefixes(self.CATALOG, 300, seed=self.SEED)
+        config = TenancyConfig.parse("a=stamp:3;b=narm:1")
+        profile = make_profile()
+        sim = Simulator()
+        server = EtudeInferenceServer(
+            sim, CPU_E2.device, profile, np.random.default_rng(self.SEED),
+            tenants={
+                tenant.name: TenantServing(
+                    config=tenant,
+                    model=self.model(self.MODELS[tenant.name]),
+                    service_profile=profile,
+                    artifact_version=f"v-{tenant.name}",
+                )
+                for tenant in config.tenants
+            },
+        )
+        splitter = TrafficSplitter(config, server.submit, sim)
+        tenant_of = {}
+
+        def submit(request, respond):
+            splitter.submit(request, respond)
+            tenant_of[request.request_id] = request.tenant
+
+        colocated = replay(sim, submit, prefixes)
+        assert len(colocated) == 300
+        assert set(tenant_of.values()) == set(self.MODELS)
+
+        for name, kind in self.MODELS.items():
+            sim = Simulator()
+            alone = EtudeInferenceServer(
+                sim, CPU_E2.device, make_profile(),
+                np.random.default_rng(self.SEED), model=self.model(kind),
+            )
+            answers = replay(sim, alone.submit, prefixes)
+            for request_id, response in colocated.items():
+                if tenant_of[request_id] == name:
+                    assert response.status == HTTP_OK
+                    np.testing.assert_array_equal(
+                        response.items, answers[request_id].items
+                    )
 
 
 class TestColocationBudget:
