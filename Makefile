@@ -103,6 +103,14 @@ parallel-smoke:
 	$(PYTHON) -m pytest tests/exec/test_backend_determinism.py::test_fixed_grid_with_infeasibles_all_backends \
 	  tests/exec/test_backend_determinism.py::test_mp4_beats_serial_wall_clock
 
+# Served forwards skip cost accounting: registry cost traces and the
+# served answer streams stay pinned, and every model answers the same with
+# and without a cost trace (no warnings on inf/NaN either way).
+.PHONY: accounting-smoke
+accounting-smoke:
+	$(PYTHON) -m pytest tests/tensor/test_cost_traces.py \
+	  tests/core/test_answer_streams.py tests/tensor/test_lean_path.py
+
 # Line coverage over the unit suite (see README "Development"). Needs
 # pytest-cov; when it is absent the target explains and skips instead of
 # failing, so environments without the plugin can still run `make test`.

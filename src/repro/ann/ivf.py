@@ -50,17 +50,27 @@ def _kmeans(
     return centroids
 
 
-@kernel("ivf_search")
-def _ivf_search_kernel(arrays, attrs):
-    """Fused IVF query: centroid scan + probe + exact scoring of members.
+def _probed_members(arrays, attrs) -> np.ndarray:
+    """Catalog rows in the ``nprobe`` lists nearest the query."""
+    query = arrays[0]
+    index: "IVFFlatIndex" = attrs["index"]
+    centroid_scores = index.centroids @ query
+    probes = np.argsort(-centroid_scores)[: index.nprobe]
+    member_ids = np.concatenate([index.lists[p] for p in probes])
+    if member_ids.size == 0:
+        data = arrays[1] if len(arrays) > 1 else index.data
+        member_ids = np.arange(min(attrs["k"], data.shape[0]), dtype=np.int64)
+    return member_ids
 
-    Accounting: parameter traffic is the centroid table plus the average
-    probed share of the catalog; one launch, like a fused ANN kernel.
+
+def _ivf_search_cost(arrays, attrs, out) -> CostRecord:
+    """Parameter traffic is the centroid table plus the probed share of the
+    catalog; one launch, like a fused ANN kernel.
 
     The catalog may be virtualized (``catalog_scale = C / materialized``
     when ``C`` exceeds the materialized cap). The scoring table rides along
     as the second input, so the trace machinery stamps the record with that
-    scale; the kernel therefore books *member* traffic raw (it represents a
+    scale; the cost therefore books *member* traffic raw (it represents a
     probed slice of the full virtual catalog and should scale up) and
     divides the per-query constants — centroid table, query and output
     bytes — by the scale so they stay scale-invariant in the totals. At
@@ -68,35 +78,31 @@ def _ivf_search_kernel(arrays, attrs):
     """
     query = arrays[0]
     index: "IVFFlatIndex" = attrs["index"]
-    k = attrs["k"]
     data = arrays[1] if len(arrays) > 1 else index.data
-
-    centroid_scores = index.centroids @ query
-    order = np.argsort(-centroid_scores)
-    probes = order[: index.nprobe]
-
-    member_ids = np.concatenate([index.lists[p] for p in probes])
-    if member_ids.size == 0:
-        member_ids = np.arange(min(k, data.shape[0]), dtype=np.int64)
-    member_scores = data[member_ids] @ query
-    take = min(k, member_ids.shape[0])
-    best = np.argpartition(-member_scores, take - 1)[:take]
-    best = best[np.argsort(-member_scores[best])]
-    out = member_ids[best].astype(np.int64)
-
     d = data.shape[1]
-    probed_rows = member_ids.shape[0]
+    probed_rows = _probed_members(arrays, attrs).shape[0]
     scale = max(float(index.catalog_scale), 1.0)
     centroid_rows = float(index.logical_nlist)
-    record = CostRecord(
-        op="ivf_search",
-        launches=1,
+    return CostRecord(
         flops=2.0 * (centroid_rows / scale + probed_rows) * d,
+        param_bytes=centroid_rows * d * 4.0 / scale + probed_rows * d * 4.0,
+        read_bytes=float(query.nbytes) / scale,
         write_bytes=float(out.nbytes) / scale,
     )
-    record.param_bytes = centroid_rows * d * 4.0 / scale + probed_rows * d * 4.0
-    record.read_bytes = float(query.nbytes) / scale
-    return out, record
+
+
+@kernel("ivf_search", _ivf_search_cost)
+def _ivf_search_kernel(arrays, attrs):
+    """Fused IVF query: centroid scan + probe + exact scoring of members."""
+    query = arrays[0]
+    index: "IVFFlatIndex" = attrs["index"]
+    data = arrays[1] if len(arrays) > 1 else index.data
+    member_ids = _probed_members(arrays, attrs)
+    member_scores = data[member_ids] @ query
+    take = min(attrs["k"], member_ids.shape[0])
+    best = np.argpartition(-member_scores, take - 1)[:take]
+    best = best[np.argsort(-member_scores[best])]
+    return member_ids[best].astype(np.int64)
 
 
 class IVFFlatIndex:

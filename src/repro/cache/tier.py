@@ -25,7 +25,7 @@ a run with no cache configured (same contract as admission/fallback).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.cache.keys import CacheKey, SessionKeyer
@@ -106,9 +106,6 @@ class CacheConfig:
         """The compact form :meth:`parse` accepts (for spec files)."""
         options = format_options(self, _KEYS, skip=("policy",))
         return ",".join([self.policy] + options)
-
-    def with_capacity(self, capacity: int) -> "CacheConfig":
-        return replace(self, capacity=capacity)
 
 
 class RemoteCacheTier:

@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Optional, Tuple
 
+import numpy as np
+
 from repro.ann.config import RetrievalConfig
 from repro.hardware.device import DeviceModel
 from repro.hardware.latency_model import LatencyModel, ServiceTimeProfile
@@ -169,7 +171,15 @@ class AssetRegistry:
             model = self.model(name, catalog_size, top_k, seed, retrieval)
             items, length = model.example_inputs()
             with cost_trace() as trace:
-                runner(items, length)
+                traced = runner(items, length).numpy()
+            # Served forwards skip the accounting: check once, on the
+            # example inputs, that they still give the traced answer.
+            served = runner(items, length).numpy()
+            if served.dtype != traced.dtype or not np.array_equal(served, traced):
+                raise RuntimeError(
+                    f"{name} ({effective}): the unaccounted forward returned "
+                    f"{served!r}, the traced forward {traced!r}"
+                )
             if effective == "onnx":
                 from repro.serving.runtimes import onnx_transform
 

@@ -224,10 +224,6 @@ class LatencyModel:
             host_ops=sum(1 for r in trace if r.host_op),
         )
 
-    def trace_latency(self, trace: CostTrace, batch_size: int = 1) -> float:
-        """One-shot latency of a trace at the given batch size (seconds)."""
-        return self.profile(trace).latency(batch_size)
-
     def fits_in_memory(self, resident_bytes: float, max_batch: int, score_bytes_per_item: float) -> bool:
         """Device-memory feasibility: parameters + batched score buffers +
         a fixed runtime reserve must fit in device memory."""

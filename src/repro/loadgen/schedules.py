@@ -20,15 +20,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Protocol, Sequence, Tuple
+from typing import Sequence, Tuple
 
 from repro.loadgen.rampup import timeprop_rampup
-
-
-class RateSchedule(Protocol):
-    """Requests to offer during the one-second tick starting at elapsed."""
-
-    def rate_at(self, elapsed_s: float, duration_s: float) -> int: ...
 
 
 def _tick_rate(rate: float) -> int:

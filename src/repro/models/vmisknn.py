@@ -89,21 +89,12 @@ class SessionIndex:
         return np.unique(np.concatenate(chunks))
 
 
-@kernel("vmis_knn_search")
-def _vmis_knn_search_kernel(arrays, attrs):
-    """Fused kNN inference with index-traffic accounting.
-
-    The cost charged is the index data actually touched: the postings for
-    the query items plus the member items of the scored candidate sessions
-    — no term scales with the catalog size.
-    """
+def _neighbourhood(arrays, attrs) -> Tuple[np.ndarray, List[Tuple[float, int]], int]:
+    """(candidate sessions, top neighbours as (similarity, session id),
+    index bytes touched) for the query session."""
     query = np.asarray(arrays[0], dtype=np.int64)
     index: SessionIndex = attrs["index"]
-    k = attrs["k"]
-    neighbours = attrs["neighbours"]
-    last_items = attrs["last_items"]
-
-    recent = query[-last_items:]
+    recent = query[-attrs["last_items"]:]
     touched_bytes = sum(
         index.item_index[int(item)].nbytes
         for item in recent
@@ -124,7 +115,27 @@ def _vmis_knn_search_kernel(arrays, attrs):
         if similarity > 0:
             scored.append((similarity, int(session_id)))
     scored.sort(reverse=True)
-    top_neighbours = scored[:neighbours]
+    return candidates, scored[: attrs["neighbours"]], touched_bytes
+
+
+def _vmis_knn_search_cost(arrays, attrs, out) -> CostRecord:
+    """The index data actually touched: the postings for the query items
+    plus the member items of the scored candidate sessions — no term
+    scales with the catalog size."""
+    candidates, top_neighbours, touched_bytes = _neighbourhood(arrays, attrs)
+    return CostRecord(
+        flops=float(len(candidates) * 8 + len(top_neighbours) * 16),
+        read_bytes=float(touched_bytes),
+        write_bytes=float(out.nbytes),
+    )
+
+
+@kernel("vmis_knn_search", _vmis_knn_search_cost)
+def _vmis_knn_search_kernel(arrays, attrs):
+    """Fused kNN inference over the session index."""
+    index: SessionIndex = attrs["index"]
+    k = attrs["k"]
+    _candidates, top_neighbours, _touched = _neighbourhood(arrays, attrs)
 
     # Item votes, weighted by neighbour similarity; query items excluded
     # (next-item prediction, matching the neural heads' behaviour of
@@ -145,16 +156,7 @@ def _vmis_knn_search_kernel(arrays, attrs):
         seen = set(out.tolist())
         filler = [i for i in range(k * 2) if i not in seen][: k - out.shape[0]]
         out = np.concatenate([out, np.asarray(filler, dtype=np.int64)])
-
-    record = CostRecord(
-        op="vmis_knn_search",
-        launches=1,
-        flops=float(len(candidates) * 8 + len(top_neighbours) * 16),
-        read_bytes=float(touched_bytes),
-        write_bytes=float(out.nbytes),
-        host_op=False,
-    )
-    return out, record
+    return out
 
 
 class VMISKNN(Module):
@@ -251,11 +253,12 @@ class VMISKNN(Module):
         return 0.0
 
 
-@kernel("vmis_knn_unpad")
+def _unpad_cost(arrays, attrs, out) -> CostRecord:
+    return CostRecord(launches=0, write_bytes=float(out.nbytes))
+
+
+@kernel("vmis_knn_unpad", _unpad_cost)
 def _vmis_knn_unpad_kernel(arrays, attrs):
     items, length = arrays
     n = int(np.asarray(length).reshape(-1)[0])
-    out = np.ascontiguousarray(np.asarray(items, dtype=np.int64)[:n])
-    record = CostRecord(op="vmis_knn_unpad", launches=0)
-    record.write_bytes = float(out.nbytes)
-    return out, record
+    return np.ascontiguousarray(np.asarray(items, dtype=np.int64)[:n])

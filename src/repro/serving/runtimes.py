@@ -111,8 +111,3 @@ def onnx_transform(trace: CostTrace) -> CostTrace:
         if not record.host_op:
             record.launches = record.launches * DISPATCH_FACTOR
     return merged
-
-
-def dispatch_factor() -> float:
-    """Exposed so the latency model can price ONNX launches."""
-    return DISPATCH_FACTOR

@@ -5,8 +5,9 @@ provides just enough of an inference stack to express the ten session-based
 recommendation models from the paper:
 
 - :class:`~repro.tensor.tensor.Tensor` — an ndarray wrapper whose operations
-  run real numpy kernels *and* record per-op cost metadata (FLOPs, bytes
-  moved, kernel launches) into an ambient :class:`~repro.tensor.ops.CostTrace`.
+  run real numpy kernels and, while a :class:`~repro.tensor.ops.CostTrace`
+  is active, record per-op cost metadata (FLOPs, bytes moved, kernel
+  launches) into it.
 - :class:`~repro.tensor.module.Module` / :class:`~repro.tensor.module.Parameter`
   — the familiar container abstractions.
 - Layers (:mod:`~repro.tensor.layers`), recurrent cells

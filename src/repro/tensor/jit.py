@@ -17,15 +17,15 @@ pipeline the paper benchmarks:
      with intermediates kept in registers),
    - **linear+activation fusion**.
 3. :class:`ScriptedModule` re-executes the optimized graph on new inputs.
-   Numerics equal eager execution; the recorded cost stream reflects the
-   optimized launch/byte counts, which is where the paper's JIT speedups
-   come from.
+   Numerics equal eager execution; under a cost trace the recorded cost
+   stream reflects the optimized launch/byte counts, which is where the
+   paper's JIT speedups come from. Without one it only computes.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Sequence, Tuple
 
 import numpy as np
 
@@ -170,10 +170,8 @@ def fold_constants(graph: Graph) -> int:
         sources = [by_id[i] for i in node.inputs]
         if not sources or not all(s.is_leaf() and s.kind != "input" for s in sources):
             continue
-        arrays = [s.array for s in sources]
-        out, _record = ops.KERNELS[node.op](arrays, node.attrs)
         node.kind = "const"
-        node.array = out
+        node.array = ops.KERNELS[node.op]([s.array for s in sources], node.attrs)
         node.is_param = any(s.is_param for s in sources)
         node.catalog_scale = max([s.catalog_scale for s in sources] + [1.0])
         node.inputs = ()
@@ -345,102 +343,65 @@ class ScriptedModule:
             )
         env: Dict[int, np.ndarray] = {}
         for node_id, value in zip(self.graph.input_ids, inputs):
-            array = value.data if isinstance(value, Tensor) else np.asarray(value)
-            env[node_id] = array
-        output = None
-        for node in self.graph.nodes:
-            if node.kind == "input":
-                continue
-            if node.kind in ("param", "const"):
-                env[node.id] = node.array
-                continue
-            if node.kind == "host":
-                env[node.id] = self._run_host(node, env)
-            elif node.kind == "fused":
-                env[node.id] = self._run_fused(node, env)
-            else:
-                env[node.id] = self._run_kernel(node, env)
-            if node.id == self.graph.output_id:
-                output = env[node.id]
-        if output is None:
-            output = env[self.graph.output_id]
-        return Tensor(output)
+            env[node_id] = value.data if isinstance(value, Tensor) else np.asarray(value)
+        accounted = ops.accounting()
+        record = None
+        # One errstate for the whole replay: IEEE semantics, as in run_op.
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            for node in self.graph.nodes:
+                if node.kind == "input":
+                    continue
+                if node.kind in ("param", "const"):
+                    env[node.id] = node.array
+                    continue
+                arrays = [env[i] for i in node.inputs]
+                if node.kind == "host":
+                    out = np.asarray(node.host_fn(*arrays))
+                    if accounted:
+                        record = ops.host_cost(arrays, out)
+                elif node.kind == "fused":
+                    out, record = self._run_fused(node, arrays, accounted)
+                else:
+                    out = ops.KERNELS[node.op](arrays, node.attrs)
+                    if accounted:
+                        record = ops.COSTS[node.op](arrays, node.attrs, out)
+                if accounted:
+                    ops.account(
+                        node.op, record, node.catalog_scale,
+                        node.batch_invariant, self._reads(node, arrays),
+                    )
+                env[node.id] = out
+        return Tensor(env[self.graph.output_id])
 
     __call__ = forward
 
     # -- node execution -----------------------------------------------------
 
-    def _node_bytes(self, node_ids, env) -> Tuple[float, float]:
-        param_bytes = 0.0
-        read_bytes = 0.0
-        for node_id in node_ids:
+    def _reads(self, node: Node, arrays) -> Iterator[Tuple[float, bool]]:
+        """``(nbytes, shared)`` per input: parameter and batch-invariant
+        sources are shared by a batch."""
+        for node_id, array in zip(node.inputs, arrays):
             source = self._by_id.get(node_id)
-            nbytes = float(env[node_id].nbytes)
-            if source is not None and (source.is_param or source.batch_invariant):
-                param_bytes += nbytes
-            else:
-                read_bytes += nbytes
-        return param_bytes, read_bytes
+            shared = source is not None and (source.is_param or source.batch_invariant)
+            yield float(array.nbytes), shared
 
-    def _run_kernel(self, node: Node, env) -> np.ndarray:
-        arrays = [env[i] for i in node.inputs]
-        out, record = ops.KERNELS[node.op](arrays, node.attrs)
-        record.catalog_scale = self._scale(node, env)
-        record.batch_invariant = node.batch_invariant
-        if record.param_bytes == 0.0 and record.read_bytes == 0.0:
-            record.param_bytes, record.read_bytes = self._node_bytes(node.inputs, env)
-        ops.record_cost(record)
-        return out
-
-    def _run_fused(self, node: Node, env) -> np.ndarray:
-        local: Dict[int, np.ndarray] = {}
+    @staticmethod
+    def _run_fused(node: Node, arrays, accounted: bool):
+        """(output, cost record or None) of a fused elementwise chain: one
+        launch summing its members' flops, writing only the last output."""
+        local: Dict[int, np.ndarray] = dict(zip(node.inputs, arrays))
         flops = 0.0
-        out = None
         for member in node.fused:
-            arrays = [
-                local[i] if i in local else env[i] for i in member.inputs
-            ]
-            out, record = ops.KERNELS[member.op](arrays, member.attrs)
+            member_arrays = [local[i] for i in member.inputs]
+            out = ops.KERNELS[member.op](member_arrays, member.attrs)
+            if accounted:
+                flops += ops.COSTS[member.op](member_arrays, member.attrs, out).flops
             local[member.id] = out
-            flops += record.flops
-        param_bytes, read_bytes = self._node_bytes(node.inputs, env)
-        fused_record = ops.CostRecord(
-            op=node.op,
-            launches=1,
-            flops=flops,
-            param_bytes=param_bytes,
-            read_bytes=read_bytes,
-            write_bytes=float(out.nbytes),
-            catalog_scale=self._scale(node, env),
-            elementwise=True,
-            batch_invariant=node.batch_invariant,
+        if not accounted:
+            return out, None
+        return out, ops.CostRecord(
+            flops=flops, write_bytes=float(out.nbytes), elementwise=True
         )
-        ops.record_cost(fused_record)
-        return out
-
-    def _run_host(self, node: Node, env) -> np.ndarray:
-        arrays = [env[i] for i in node.inputs]
-        out = np.asarray(node.host_fn(*arrays))
-        in_bytes = sum(float(a.nbytes) for a in arrays)
-        record = ops.CostRecord(
-            op=node.op,
-            launches=1,
-            read_bytes=in_bytes,
-            write_bytes=float(out.nbytes),
-            host_op=True,
-            transfer_bytes=in_bytes + float(out.nbytes),
-            catalog_scale=self._scale(node, env),
-        )
-        ops.record_cost(record)
-        return out
-
-    def _scale(self, node: Node, env) -> float:
-        scale = node.catalog_scale
-        for input_id in node.inputs:
-            source = self._by_id.get(input_id)
-            if source is not None:
-                scale = max(scale, source.catalog_scale)
-        return scale
 
 
 def optimize_for_inference(

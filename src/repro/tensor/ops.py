@@ -1,9 +1,20 @@
-"""Primitive kernels with cost accounting.
+"""Primitive kernels and their cost accounting.
 
-Every tensor operation in :mod:`repro.tensor` funnels through :func:`_run`,
-which executes a real numpy kernel and emits a :class:`CostRecord` into the
-ambient :class:`CostTrace` (if one is active). The records carry everything
-the roofline latency model in :mod:`repro.hardware.latency_model` needs:
+Every tensor operation in :mod:`repro.tensor` funnels through :func:`run_op`.
+A kernel is registered by name (:func:`kernel`) as two functions: a
+*compute* function that runs the real numpy kernel, and a *cost* function
+that prices one call as a :class:`CostRecord`. :func:`run_op` has two paths,
+chosen by :func:`accounting`:
+
+- **lean**, when no :class:`CostTrace` and no jit graph capture is active
+  (every served forward): the compute function only;
+- **accounted**, inside :func:`cost_trace` or a jit capture: the compute
+  function, then the cost function, whose record :func:`account` finishes
+  and appends to the active traces. :func:`account` is the one record
+  builder; :class:`repro.tensor.jit.ScriptedModule` uses it too.
+
+Both paths return the same Tensor. The records carry everything the
+roofline latency model in :mod:`repro.hardware.latency_model` needs:
 
 - ``flops``          floating point operations performed,
 - ``param_bytes``    bytes of *parameters* read (amortizable over a batch),
@@ -17,9 +28,6 @@ the roofline latency model in :mod:`repro.hardware.latency_model` needs:
 - ``catalog_scale``  multiplier for ops whose tensors stand in for a larger
                      virtualized catalog (see
                      :class:`repro.tensor.layers.CatalogEmbedding`).
-
-Kernels are registered by name in :data:`KERNELS` so that
-:class:`repro.tensor.jit.ScriptedModule` can re-execute captured graphs.
 """
 
 from __future__ import annotations
@@ -27,9 +35,11 @@ from __future__ import annotations
 import contextlib
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.tensor.tensor import Tensor
 
 # ---------------------------------------------------------------------------
 # Cost records and traces
@@ -40,7 +50,7 @@ import numpy as np
 class CostRecord:
     """Cost metadata for one executed kernel."""
 
-    op: str
+    op: str = ""
     launches: int = 1
     flops: float = 0.0
     param_bytes: float = 0.0
@@ -143,12 +153,6 @@ def current_trace() -> Optional[CostTrace]:
     return _TRACE_STACK[-1] if _TRACE_STACK else None
 
 
-def record_cost(record: CostRecord) -> None:
-    """Append a record to every active trace (outermost first)."""
-    for trace in _TRACE_STACK:
-        trace.append(record)
-
-
 # ---------------------------------------------------------------------------
 # Graph capture hook (used by repro.tensor.jit)
 # ---------------------------------------------------------------------------
@@ -162,140 +166,151 @@ def set_graph_builder(builder) -> None:
     _GRAPH_BUILDER = builder
 
 
-def graph_builder():
-    return _GRAPH_BUILDER
-
-
 def is_capturing() -> bool:
     return _GRAPH_BUILDER is not None
 
 
+def accounting() -> bool:
+    """Whether ops price themselves: a cost trace or a jit capture is active.
+
+    Served forwards run with neither, so they only compute.
+    """
+    return bool(_TRACE_STACK) or _GRAPH_BUILDER is not None
+
+
 # ---------------------------------------------------------------------------
-# Kernel registry and dispatch
+# Kernel registry, dispatch and the record builder
 # ---------------------------------------------------------------------------
 
+#: Kernel name -> compute function ``(arrays, attrs) -> out``.
 KERNELS: Dict[str, Callable] = {}
+#: Kernel name -> cost function ``(arrays, attrs, out) -> CostRecord``.
+COSTS: Dict[str, Callable] = {}
 
 
-def kernel(name: str):
-    """Register a kernel: ``fn(arrays, attrs) -> (out_array, CostRecord)``."""
+def kernel(name: str, cost: Callable):
+    """Register the decorated compute function as kernel ``name``.
 
-    def decorate(fn):
-        KERNELS[name] = fn
-        return fn
+    ``compute(arrays, attrs) -> out`` runs the numpy kernel on the unwrapped
+    inputs and returns the output ndarray; nothing else. ``cost(arrays,
+    attrs, out) -> CostRecord`` prices one call from the shapes and byte
+    counts of its inputs and output and its attrs (the two index-search
+    kernels also replay their probe). It runs on the accounted path only,
+    and :func:`account` fills in the rest of the record.
+    """
+
+    def decorate(compute):
+        KERNELS[name] = compute
+        COSTS[name] = cost
+        return compute
 
     return decorate
 
 
-def _unwrap(value):
-    """ndarray for a Tensor, passthrough for scalars/ndarrays."""
-    from repro.tensor.tensor import Tensor
+def account(
+    op: str,
+    record: CostRecord,
+    catalog_scale: float,
+    batch_invariant: bool,
+    reads: Iterable[Tuple[float, bool]],
+) -> CostRecord:
+    """Finish a kernel's cost record and append it to every active trace
+    (outermost first).
 
-    if isinstance(value, Tensor):
-        return value.data
-    return value
-
-
-def _input_scale(values: Sequence) -> float:
-    from repro.tensor.tensor import Tensor
-
-    scale = 1.0
-    for value in values:
-        if isinstance(value, Tensor):
-            scale = max(scale, value.catalog_scale)
-    return scale
-
-
-def _split_input_bytes(values: Sequence) -> Tuple[float, float]:
-    """(batch-amortized bytes, per-item activation read bytes) over inputs.
-
-    Parameter tensors AND batch-invariant activations (e.g. a normalized
-    copy of the catalog table) are shared across a batch, so their reads
-    amortize like weight streaming.
+    Stamps the op name, catalog scale and batch invariance. ``reads`` are
+    the ``(nbytes, shared)`` inputs the op reads: unless the cost function
+    booked its bytes itself, shared inputs (parameters AND batch-invariant
+    activations, e.g. a normalized copy of the catalog table) count as
+    ``param_bytes``, because their reads amortize over a batch like weight
+    streaming, and the rest as ``read_bytes``.
     """
-    from repro.tensor.tensor import Tensor
-
-    param_bytes = 0.0
-    read_bytes = 0.0
-    for value in values:
-        if isinstance(value, Tensor):
-            if value.is_param or value.batch_invariant:
-                param_bytes += value.data.nbytes
+    record.op = op
+    record.catalog_scale = catalog_scale
+    record.batch_invariant = batch_invariant
+    if record.param_bytes == 0.0 and record.read_bytes == 0.0:
+        for nbytes, shared in reads:
+            if shared:
+                record.param_bytes += nbytes
             else:
-                read_bytes += value.data.nbytes
+                record.read_bytes += nbytes
+    for trace in _TRACE_STACK:
+        trace.append(record)
+    return record
+
+
+def _unwrap(inputs: Sequence) -> Tuple[list, float, bool]:
+    """(arrays, catalog scale, batch invariance) of an op's inputs.
+
+    The output stands in for the largest virtualized catalog among its
+    Tensor inputs, and is batch-invariant when each of them is a parameter
+    or batch-invariant. Both tags ride on the output on either path, so a
+    tensor computed outside a trace is priced right by a later traced op.
+    """
+    arrays = []
+    scale = 1.0
+    invariant = True
+    for value in inputs:
+        if isinstance(value, Tensor):
+            arrays.append(value.data)
+            scale = max(scale, value.catalog_scale)
+            if not (value.is_param or value.batch_invariant):
+                invariant = False
+        else:
+            arrays.append(value)
+    return arrays, scale, invariant
+
+
+def _reads(inputs: Sequence) -> Iterator[Tuple[float, bool]]:
+    """The ``(nbytes, shared)`` reads of an eager op; scalars read nothing."""
+    for value in inputs:
+        if isinstance(value, Tensor):
+            yield value.data.nbytes, value.is_param or value.batch_invariant
         elif isinstance(value, np.ndarray):
-            read_bytes += value.nbytes
-    return param_bytes, read_bytes
+            yield value.nbytes, False
 
 
-def _all_inputs_invariant(values: Sequence) -> bool:
-    from repro.tensor.tensor import Tensor
-
-    return all(
-        value.is_param or value.batch_invariant
-        for value in values
-        if isinstance(value, Tensor)
-    )
-
-
-def run_op(name: str, inputs: Sequence, attrs: Optional[dict] = None):
-    """Execute the registered kernel ``name`` and emit its cost record.
+def run_op(name: str, inputs: Sequence, attrs: Optional[dict] = None) -> Tensor:
+    """Run the registered kernel ``name``, priced when :func:`accounting`.
 
     ``inputs`` may mix :class:`~repro.tensor.tensor.Tensor`, ndarray and
-    Python scalars. Returns a Tensor wrapping the kernel output, with the
-    catalog scale propagated as the max over the inputs.
+    Python scalars. Returns a Tensor wrapping the kernel output, tagged with
+    the inputs' catalog scale and batch invariance.
     """
-    from repro.tensor.tensor import Tensor
-
     attrs = attrs or {}
-    arrays = [_unwrap(v) for v in inputs]
+    arrays, scale, invariant = _unwrap(inputs)
     # IEEE float semantics (inf/nan propagate) without warning noise, as in
     # the frameworks this substrate stands in for.
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        out_array, record = KERNELS[name](arrays, attrs)
-    record.catalog_scale = _input_scale(inputs)
-    record.batch_invariant = _all_inputs_invariant(inputs)
-    if record.param_bytes == 0.0 and record.read_bytes == 0.0:
-        record.param_bytes, record.read_bytes = _split_input_bytes(inputs)
-    record_cost(record)
-    out = Tensor(
-        out_array,
-        catalog_scale=record.catalog_scale,
-        batch_invariant=record.batch_invariant,
-    )
-    builder = _GRAPH_BUILDER
-    if builder is not None:
-        builder.add_op(name, inputs, attrs, out, record)
-    return out
+        out = KERNELS[name](arrays, attrs)
+        cost = COSTS[name](arrays, attrs, out) if accounting() else None
+    result = Tensor(out, catalog_scale=scale, batch_invariant=invariant)
+    if cost is not None:
+        record = account(name, cost, scale, invariant, _reads(inputs))
+        if _GRAPH_BUILDER is not None:
+            _GRAPH_BUILDER.add_op(name, inputs, attrs, result, record)
+    return result
 
 
 # ---------------------------------------------------------------------------
-# Shape / cost helpers
+# Cost helpers
 # ---------------------------------------------------------------------------
 
 
-def _size(array: np.ndarray) -> int:
-    return int(array.size)
-
-
-def _out_record(
-    op: str,
-    out: np.ndarray,
-    flops: float,
-    launches: int = 1,
-    elementwise: bool = False,
-    host_op: bool = False,
-    transfer_bytes: float = 0.0,
-) -> CostRecord:
+def _written(out: np.ndarray, flops: float, elementwise: bool = False) -> CostRecord:
+    """One launch doing ``flops`` and writing ``out`` once."""
     return CostRecord(
-        op=op,
-        launches=launches,
-        flops=float(flops),
-        write_bytes=float(out.nbytes),
-        elementwise=elementwise,
-        host_op=host_op,
-        transfer_bytes=float(transfer_bytes),
+        flops=float(flops), write_bytes=float(out.nbytes), elementwise=elementwise
     )
+
+
+def _per_element(flops: float, elementwise: bool = False) -> Callable:
+    """Cost function: ``flops`` per output element, the output written once."""
+    return lambda arrays, attrs, out: _written(out, out.size * flops, elementwise)
+
+
+def _free(arrays, attrs, out) -> CostRecord:
+    """Views are free in eager PyTorch: no launch, no traffic."""
+    return CostRecord(launches=0)
 
 
 # ---------------------------------------------------------------------------
@@ -312,19 +327,12 @@ _ELEMENTWISE_NUMPY = {
     "pow": (np.power, 4.0),
 }
 
-
-def _make_binary_kernel(name: str, fn, flop_factor: float):
-    @kernel(name)
-    def _kernel(arrays, attrs, _fn=fn, _name=name, _factor=flop_factor):
-        out = _fn(arrays[0], arrays[1])
-        out = np.asarray(out, dtype=np.float32)
-        return out, _out_record(_name, out, _size(out) * _factor, elementwise=True)
-
-    return _kernel
-
-
 for _name, (_fn, _factor) in _ELEMENTWISE_NUMPY.items():
-    _make_binary_kernel(_name, _fn, _factor)
+    kernel(_name, _per_element(_factor, elementwise=True))(
+        lambda arrays, attrs, _fn=_fn: np.asarray(
+            _fn(arrays[0], arrays[1]), dtype=np.float32
+        )
+    )
 
 
 _UNARY_NUMPY = {
@@ -336,21 +344,13 @@ _UNARY_NUMPY = {
     "abs": (np.abs, 1.0),
 }
 
-
-def _make_unary_kernel(name: str, fn, flop_factor: float):
-    @kernel(name)
-    def _kernel(arrays, attrs, _fn=fn, _name=name, _factor=flop_factor):
-        out = np.asarray(_fn(arrays[0]), dtype=np.float32)
-        return out, _out_record(_name, out, _size(out) * _factor, elementwise=True)
-
-    return _kernel
-
-
 for _name, (_fn, _factor) in _UNARY_NUMPY.items():
-    _make_unary_kernel(_name, _fn, _factor)
+    kernel(_name, _per_element(_factor, elementwise=True))(
+        lambda arrays, attrs, _fn=_fn: np.asarray(_fn(arrays[0]), dtype=np.float32)
+    )
 
 
-@kernel("sigmoid")
+@kernel("sigmoid", _per_element(8.0, elementwise=True))
 def _sigmoid_kernel(arrays, attrs):
     x = np.asarray(arrays[0], dtype=np.float64)
     out = np.empty_like(x)
@@ -358,34 +358,29 @@ def _sigmoid_kernel(arrays, attrs):
     out[positive] = 1.0 / (1.0 + np.exp(-x[positive]))
     exp_x = np.exp(x[~positive])
     out[~positive] = exp_x / (1.0 + exp_x)
-    out = out.astype(np.float32)
-    return out, _out_record("sigmoid", out, _size(out) * 8.0, elementwise=True)
+    return out.astype(np.float32)
 
 
-@kernel("relu")
+@kernel("relu", _per_element(1.0, elementwise=True))
 def _relu_kernel(arrays, attrs):
-    out = np.maximum(arrays[0], 0.0).astype(np.float32)
-    return out, _out_record("relu", out, _size(out), elementwise=True)
+    return np.maximum(arrays[0], 0.0).astype(np.float32)
 
 
-@kernel("gelu")
+@kernel("gelu", _per_element(12.0, elementwise=True))
 def _gelu_kernel(arrays, attrs):
     x = arrays[0]
     c = math.sqrt(2.0 / math.pi)
-    out = (0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))).astype(np.float32)
-    return out, _out_record("gelu", out, _size(out) * 12.0, elementwise=True)
+    return (0.5 * x * (1.0 + np.tanh(c * (x + 0.044715 * x**3)))).astype(np.float32)
 
 
-@kernel("scale")
+@kernel("scale", _per_element(1.0, elementwise=True))
 def _scale_kernel(arrays, attrs):
-    out = (arrays[0] * attrs["factor"]).astype(np.float32)
-    return out, _out_record("scale", out, _size(out), elementwise=True)
+    return (arrays[0] * attrs["factor"]).astype(np.float32)
 
 
-@kernel("fill_constant")
+@kernel("fill_constant", _per_element(0.0, elementwise=True))
 def _fill_constant_kernel(arrays, attrs):
-    out = np.full(attrs["shape"], attrs["value"], dtype=np.float32)
-    return out, _out_record("fill_constant", out, 0.0, elementwise=True)
+    return np.full(attrs["shape"], attrs["value"], dtype=np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -393,34 +388,41 @@ def _fill_constant_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
-@kernel("matmul")
+@kernel(
+    "matmul",
+    lambda arrays, attrs, out: _written(out, 2.0 * out.size * arrays[0].shape[-1]),
+)
 def _matmul_kernel(arrays, attrs):
-    a, b = arrays
-    out = np.matmul(a, b).astype(np.float32)
-    k = a.shape[-1]
-    flops = 2.0 * _size(out) * k
-    return out, _out_record("matmul", out, flops)
+    return np.matmul(arrays[0], arrays[1]).astype(np.float32)
 
 
-@kernel("linear")
+def _affine(arrays) -> np.ndarray:
+    out = np.matmul(arrays[0], arrays[1].T)
+    if len(arrays) > 2 and arrays[2] is not None:
+        out = out + arrays[2]
+    return out
+
+
+@kernel(
+    "linear",
+    lambda arrays, attrs, out: _written(
+        out, 2.0 * out.size * arrays[0].shape[-1] + out.size
+    ),
+)
 def _linear_kernel(arrays, attrs):
     """Fused ``x @ W.T + b`` — the workhorse of every model here."""
-    x, weight = arrays[0], arrays[1]
-    out = np.matmul(x, weight.T)
-    if len(arrays) > 2 and arrays[2] is not None:
-        out = out + arrays[2]
-    out = out.astype(np.float32)
-    flops = 2.0 * _size(out) * x.shape[-1] + _size(out)
-    return out, _out_record("linear", out, flops)
+    return _affine(arrays).astype(np.float32)
 
 
-@kernel("linear_act")
+@kernel(
+    "linear_act",
+    lambda arrays, attrs, out: _written(
+        out, 2.0 * out.size * arrays[0].shape[-1] + 9.0 * out.size
+    ),
+)
 def _linear_act_kernel(arrays, attrs):
     """JIT-fused linear + activation, produced by the fusion pass."""
-    x, weight = arrays[0], arrays[1]
-    out = np.matmul(x, weight.T)
-    if len(arrays) > 2 and arrays[2] is not None:
-        out = out + arrays[2]
+    out = _affine(arrays)
     activation = attrs.get("activation", "relu")
     if activation == "relu":
         out = np.maximum(out, 0.0)
@@ -428,15 +430,12 @@ def _linear_act_kernel(arrays, attrs):
         out = np.tanh(out)
     elif activation == "sigmoid":
         out = 1.0 / (1.0 + np.exp(-out))
-    out = out.astype(np.float32)
-    flops = 2.0 * _size(out) * x.shape[-1] + 9.0 * _size(out)
-    return out, _out_record("linear_act", out, flops)
+    return out.astype(np.float32)
 
 
-@kernel("outer")
+@kernel("outer", _per_element(1.0))
 def _outer_kernel(arrays, attrs):
-    out = np.outer(arrays[0], arrays[1]).astype(np.float32)
-    return out, _out_record("outer", out, _size(out))
+    return np.outer(arrays[0], arrays[1]).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -444,44 +443,36 @@ def _outer_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
-@kernel("reshape")
+@kernel("reshape", _free)
 def _reshape_kernel(arrays, attrs):
-    out = arrays[0].reshape(attrs["shape"])
-    return out, CostRecord(op="reshape", launches=0)
+    return arrays[0].reshape(attrs["shape"])
 
 
-@kernel("transpose")
+@kernel("transpose", _free)
 def _transpose_kernel(arrays, attrs):
-    out = np.transpose(arrays[0], attrs.get("axes"))
-    return out, CostRecord(op="transpose", launches=0)
+    return np.transpose(arrays[0], attrs.get("axes"))
 
 
-@kernel("concat")
+@kernel("concat", _per_element(0.0, elementwise=True))
 def _concat_kernel(arrays, attrs):
-    out = np.concatenate(arrays, axis=attrs.get("axis", -1)).astype(np.float32)
-    return out, _out_record("concat", out, 0.0, elementwise=True)
+    return np.concatenate(arrays, axis=attrs.get("axis", -1)).astype(np.float32)
 
 
-@kernel("stack")
+@kernel("stack", _per_element(0.0, elementwise=True))
 def _stack_kernel(arrays, attrs):
-    out = np.stack(arrays, axis=attrs.get("axis", 0)).astype(np.float32)
-    return out, _out_record("stack", out, 0.0, elementwise=True)
+    return np.stack(arrays, axis=attrs.get("axis", 0)).astype(np.float32)
 
 
-@kernel("slice")
+@kernel("slice", _per_element(0.0))
 def _slice_kernel(arrays, attrs):
-    out = arrays[0][attrs["key"]]
-    out = np.ascontiguousarray(out)
-    return out, _out_record("slice", out, 0.0)
+    return np.ascontiguousarray(arrays[0][attrs["key"]])
 
 
-@kernel("pad_rows")
+@kernel("pad_rows", _per_element(0.0))
 def _pad_rows_kernel(arrays, attrs):
     x = arrays[0]
-    target = attrs["target"]
-    pad = target - x.shape[0]
-    out = np.pad(x, [(0, pad)] + [(0, 0)] * (x.ndim - 1)).astype(np.float32)
-    return out, _out_record("pad_rows", out, 0.0)
+    pad = attrs["target"] - x.shape[0]
+    return np.pad(x, [(0, pad)] + [(0, 0)] * (x.ndim - 1)).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -489,69 +480,58 @@ def _pad_rows_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
-def _reduce_record(name: str, x: np.ndarray, out: np.ndarray) -> CostRecord:
-    record = _out_record(name, out, _size(x))
-    record.read_bytes = float(x.nbytes)
-    return record
+def _input_passes(flops_per_element: float, passes: float) -> Callable:
+    """Cost function of a kernel that reads its first input ``passes`` times."""
+
+    def cost(arrays, attrs, out):
+        x = arrays[0]
+        record = _written(out, flops_per_element * x.size)
+        record.read_bytes = float(x.nbytes) * passes
+        return record
+
+    return cost
 
 
-@kernel("reduce_sum")
-def _reduce_sum_kernel(arrays, attrs):
-    out = np.sum(arrays[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    out = np.asarray(out, dtype=np.float32)
-    return out, _reduce_record("reduce_sum", arrays[0], out)
+def _reduction(reduce: Callable) -> Callable:
+    def compute(arrays, attrs):
+        out = reduce(arrays[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
+        return np.asarray(out, dtype=np.float32)
+
+    return compute
 
 
-@kernel("reduce_mean")
-def _reduce_mean_kernel(arrays, attrs):
-    out = np.mean(arrays[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    out = np.asarray(out, dtype=np.float32)
-    return out, _reduce_record("reduce_mean", arrays[0], out)
+for _name, _reduce in (("reduce_sum", np.sum), ("reduce_mean", np.mean), ("reduce_max", np.max)):
+    kernel(_name, _input_passes(1.0, 1.0))(_reduction(_reduce))
 
 
-@kernel("reduce_max")
-def _reduce_max_kernel(arrays, attrs):
-    out = np.max(arrays[0], axis=attrs.get("axis"), keepdims=attrs.get("keepdims", False))
-    out = np.asarray(out, dtype=np.float32)
-    return out, _reduce_record("reduce_max", arrays[0], out)
-
-
-@kernel("softmax")
+@kernel("softmax", _input_passes(8.0, 3.0))  # max, exp, normalize passes
 def _softmax_kernel(arrays, attrs):
     x = arrays[0]
     axis = attrs.get("axis", -1)
     shifted = x - np.max(x, axis=axis, keepdims=True)
     exp = np.exp(shifted)
-    out = (exp / np.sum(exp, axis=axis, keepdims=True)).astype(np.float32)
-    record = _out_record("softmax", out, 8.0 * _size(x))
-    record.read_bytes = float(x.nbytes) * 3.0  # max, exp, normalize passes
-    return out, record
+    return (exp / np.sum(exp, axis=axis, keepdims=True)).astype(np.float32)
 
 
-@kernel("layer_norm")
+@kernel("layer_norm", _input_passes(8.0, 2.0))
 def _layer_norm_kernel(arrays, attrs):
     x, gamma, beta = arrays
     eps = attrs.get("eps", 1e-6)
     mean = np.mean(x, axis=-1, keepdims=True)
     var = np.var(x, axis=-1, keepdims=True)
-    out = ((x - mean) / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
-    record = _out_record("layer_norm", out, 8.0 * _size(x))
-    record.read_bytes = float(x.nbytes) * 2.0
-    return out, record
+    return ((x - mean) / np.sqrt(var + eps) * gamma + beta).astype(np.float32)
 
 
-@kernel("masked_fill")
+@kernel("masked_fill", _per_element(1.0, elementwise=True))
 def _masked_fill_kernel(arrays, attrs):
     x, mask = arrays
-    out = np.where(mask.astype(bool), np.float32(attrs["value"]), x).astype(np.float32)
-    return out, _out_record("masked_fill", out, _size(out), elementwise=True)
+    return np.where(mask.astype(bool), np.float32(attrs["value"]), x).astype(np.float32)
 
 
-@kernel("where")
+@kernel("where", _per_element(1.0, elementwise=True))
 def _where_kernel(arrays, attrs):
     cond, a, b = arrays
-    out = np.where(cond.astype(bool), a, b).astype(np.float32)
-    return out, _out_record("where", out, _size(out), elementwise=True)
+    return np.where(cond.astype(bool), a, b).astype(np.float32)
 
 
 # ---------------------------------------------------------------------------
@@ -559,35 +539,45 @@ def _where_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
-@kernel("embedding_lookup")
+def _lookup_cost(arrays, attrs, out) -> CostRecord:
+    record = _written(out, 0.0)
+    record.param_bytes = float(out.nbytes)  # only touched rows are read
+    return record
+
+
+@kernel("embedding_lookup", _lookup_cost)
 def _embedding_lookup_kernel(arrays, attrs):
     table, ids = arrays
-    idx = np.asarray(ids, dtype=np.int64)
-    out = table[idx].astype(np.float32)
-    record = _out_record("embedding_lookup", out, 0.0)
-    record.param_bytes = float(out.nbytes)  # only touched rows are read
-    return out, record
+    return table[np.asarray(ids, dtype=np.int64)].astype(np.float32)
 
 
-@kernel("index_select")
+@kernel("index_select", _per_element(0.0))
 def _index_select_kernel(arrays, attrs):
     x, ids = arrays
     idx = np.asarray(ids, dtype=np.int64)
-    out = np.take(x, idx, axis=attrs.get("axis", 0)).astype(np.float32)
-    return out, _out_record("index_select", out, 0.0)
+    return np.take(x, idx, axis=attrs.get("axis", 0)).astype(np.float32)
 
 
-@kernel("scatter_add_rows")
+@kernel("scatter_add_rows", lambda arrays, attrs, out: _written(out, arrays[0].size))
 def _scatter_add_rows_kernel(arrays, attrs):
     """out[ids[i]] += x[i] over rows — used by graph aggregation."""
     x, ids = arrays
-    num_rows = attrs["num_rows"]
-    out = np.zeros((num_rows,) + x.shape[1:], dtype=np.float32)
+    out = np.zeros((attrs["num_rows"],) + x.shape[1:], dtype=np.float32)
     np.add.at(out, np.asarray(ids, dtype=np.int64), x)
-    return out, _out_record("scatter_add_rows", out, _size(x))
+    return out
 
 
-@kernel("topk")
+def _topk_cost(arrays, attrs, out) -> CostRecord:
+    scores = arrays[0]
+    k = min(attrs["k"], scores.shape[-1])
+    return CostRecord(
+        flops=2.0 * scores.size + scores.size * math.log2(max(k, 2)),
+        read_bytes=float(scores.nbytes),
+        write_bytes=float(out.nbytes),
+    )
+
+
+@kernel("topk", _topk_cost)
 def _topk_kernel(arrays, attrs):
     scores = arrays[0]
     k = min(attrs["k"], scores.shape[-1])
@@ -595,15 +585,7 @@ def _topk_kernel(arrays, attrs):
     top = np.take(part, np.arange(k), axis=-1)
     top_scores = np.take_along_axis(scores, top, axis=-1)
     order = np.argsort(-top_scores, axis=-1)
-    idx = np.take_along_axis(top, order, axis=-1)
-    record = CostRecord(
-        op="topk",
-        launches=1,
-        flops=2.0 * _size(scores) + _size(scores) * math.log2(max(k, 2)),
-        read_bytes=float(scores.nbytes),
-        write_bytes=float(idx.nbytes),
-    )
-    return idx.astype(np.int64), record
+    return np.take_along_axis(top, order, axis=-1).astype(np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -611,51 +593,46 @@ def _topk_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
-@kernel("dropout")
+@kernel("dropout", _per_element(0.0, elementwise=True))
 def _dropout_kernel(arrays, attrs):
     """Inference-mode dropout: numerically the identity, but eager PyTorch
     still dispatches a kernel for it. The jit dead-op pass removes it."""
-    out = arrays[0]
-    return out, _out_record("dropout", out, 0.0, elementwise=True)
+    return arrays[0]
 
 
-@kernel("mod_index")
+@kernel("mod_index", _per_element(1.0))
 def _mod_index_kernel(arrays, attrs):
-    out = (np.asarray(arrays[0], dtype=np.int64) % attrs["modulus"]).astype(np.int64)
-    record = CostRecord(op="mod_index", launches=1, flops=float(out.size))
-    record.write_bytes = float(out.nbytes)
-    return out, record
+    return (np.asarray(arrays[0], dtype=np.int64) % attrs["modulus"]).astype(np.int64)
 
 
-@kernel("sequence_mask")
+@kernel("sequence_mask", _per_element(1.0))
 def _sequence_mask_kernel(arrays, attrs):
     """Boolean validity mask of shape (max_len,) from a scalar length."""
     length = int(np.asarray(arrays[0]).reshape(-1)[0])
-    max_len = attrs["max_len"]
-    out = np.arange(max_len) < length
-    record = CostRecord(op="sequence_mask", launches=1, flops=float(max_len))
-    record.write_bytes = float(out.nbytes)
-    return out, record
+    return np.arange(attrs["max_len"]) < length
 
 
-@kernel("logical_not")
+@kernel("logical_not", _per_element(1.0))
 def _logical_not_kernel(arrays, attrs):
-    out = np.logical_not(arrays[0].astype(bool))
-    record = CostRecord(op="logical_not", launches=1, flops=float(out.size))
-    record.write_bytes = float(out.nbytes)
-    return out, record
+    return np.logical_not(arrays[0].astype(bool))
 
 
-@kernel("gather_row")
+@kernel("gather_row", _per_element(0.0))
 def _gather_row_kernel(arrays, attrs):
     """Pick one leading-axis row by a (traced) scalar index tensor."""
     x, index = arrays
     row = int(np.asarray(index).reshape(-1)[0]) + attrs.get("offset", 0)
-    out = np.ascontiguousarray(x[row])
-    return out, _out_record("gather_row", out, 0.0)
+    return np.ascontiguousarray(x[row])
 
 
-@kernel("gru_sequence")
+def _gru_sequence_cost(arrays, attrs, out) -> CostRecord:
+    x, w_hh = arrays[0], arrays[2]
+    seq_len, in_dim = x.shape
+    d = w_hh.shape[1]
+    return _written(out, seq_len * (6.0 * d * (in_dim + d) + 30.0 * d))
+
+
+@kernel("gru_sequence", _gru_sequence_cost)
 def _gru_sequence_kernel(arrays, attrs):
     """Fused single-layer GRU over a full sequence (the cuDNN-style path).
 
@@ -677,15 +654,7 @@ def _gru_sequence_kernel(arrays, attrs):
         candidate = np.tanh(gi[2 * d : 3 * d] + reset * gh[2 * d : 3 * d])
         h = (1.0 - update) * h + update * candidate
         outputs[t] = h
-    in_dim = x.shape[1]
-    flops = seq_len * (6.0 * d * (in_dim + d) + 30.0 * d)
-    record = CostRecord(
-        op="gru_sequence",
-        launches=1,
-        flops=flops,
-        write_bytes=float(outputs.nbytes),
-    )
-    return outputs, record
+    return outputs
 
 
 # ---------------------------------------------------------------------------
@@ -693,12 +662,23 @@ def _gru_sequence_kernel(arrays, attrs):
 # ---------------------------------------------------------------------------
 
 
+def host_cost(arrays: Sequence, out: np.ndarray) -> CostRecord:
+    """A host op moves every input and its output across the PCIe link."""
+    in_bytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
+    return CostRecord(
+        read_bytes=float(in_bytes),
+        write_bytes=float(out.nbytes),
+        host_op=True,
+        transfer_bytes=float(in_bytes + out.nbytes),
+    )
+
+
 def host_numpy(
     op_name: str,
     fn: Callable[..., np.ndarray],
     *inputs,
     catalog_scale: Optional[float] = None,
-):
+) -> Tensor:
     """Run ``fn`` on raw ndarrays *on the host*, outside the device stream.
 
     On a GPU deployment this forces a device→host→device round trip; the
@@ -709,25 +689,13 @@ def host_numpy(
     ``catalog_scale`` tags the output (and the op's cost) as standing in for
     a virtualized catalog — RepeatNet's dense one-hot scatter uses this.
     """
-    from repro.tensor.tensor import Tensor
-
-    arrays = [_unwrap(v) for v in inputs]
+    arrays, scale, _invariant = _unwrap(inputs)
+    if catalog_scale is not None:
+        scale = catalog_scale
     out = np.asarray(fn(*arrays))
-    in_bytes = sum(a.nbytes for a in arrays if isinstance(a, np.ndarray))
-    scale = catalog_scale if catalog_scale is not None else _input_scale(inputs)
-    record = CostRecord(
-        op=f"host[{op_name}]",
-        launches=1,
-        flops=0.0,
-        read_bytes=float(in_bytes),
-        write_bytes=float(out.nbytes),
-        host_op=True,
-        transfer_bytes=float(in_bytes + out.nbytes),
-        catalog_scale=scale,
-    )
-    record_cost(record)
-    builder = _GRAPH_BUILDER
-    result = Tensor(out, catalog_scale=record.catalog_scale)
-    if builder is not None:
-        builder.add_host_op(op_name, fn, inputs, result, record)
+    result = Tensor(out, catalog_scale=scale)
+    if accounting():
+        record = account(f"host[{op_name}]", host_cost(arrays, out), scale, False, ())
+        if _GRAPH_BUILDER is not None:
+            _GRAPH_BUILDER.add_host_op(op_name, fn, inputs, result, record)
     return result

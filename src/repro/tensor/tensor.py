@@ -2,7 +2,8 @@
 
 Tensors are immutable-by-convention activation values flowing through a
 model. All arithmetic dispatches through :func:`repro.tensor.ops.run_op`, so
-every operation both computes a real result and emits cost accounting.
+every operation computes a real result, and emits cost accounting while a
+cost trace or jit capture is active.
 
 Two extra pieces of state ride along:
 
@@ -23,8 +24,6 @@ from __future__ import annotations
 from typing import Iterable, Optional, Sequence, Tuple, Union
 
 import numpy as np
-
-from repro.tensor import ops
 
 Scalar = Union[int, float]
 
@@ -231,3 +230,7 @@ def concat(tensors: Sequence[Tensor], axis: int = -1) -> Tensor:
 
 def stack(tensors: Sequence[Tensor], axis: int = 0) -> Tensor:
     return ops.run_op("stack", tuple(tensors), {"axis": axis})
+
+
+# ops builds Tensors, so it is imported once the class exists.
+from repro.tensor import ops  # noqa: E402
